@@ -13,8 +13,8 @@
 //!
 //! * `analysis_serial` — [`bwsa_core::interleave_counts`] + CSR build,
 //!   for both engines; this pair is the headline speedup.
-//! * `analysis_streaming` — record-by-record
-//!   [`bwsa_core::StreamingInterleave`] + build (flat only).
+//! * `analysis_streaming` — record-by-record pc interning into a
+//!   [`bwsa_core::Fold`] + build (flat only).
 //! * `analysis_parallel` — the full sharded pipeline at 2 workers
 //!   (flat only).
 //! * `analysis_windowed` — the online [`bwsa_core::WindowedAnalysis`]
@@ -35,12 +35,11 @@
 
 use bwsa_bench::legacy;
 use bwsa_core::{
-    analyze_parallel, AnalysisPipeline, ParallelConfig, StreamingInterleave, WindowConfig,
-    WindowedAnalysis,
+    analyze_parallel, AnalysisPipeline, Fold, ParallelConfig, WindowConfig, WindowedAnalysis,
 };
 use bwsa_obs::json::Json;
 use bwsa_predictor::{simulate, BranchPredictor, Pag};
-use bwsa_trace::Trace;
+use bwsa_trace::{BranchTable, Trace};
 use bwsa_workload::suite::{Benchmark, InputSet};
 use std::time::Instant;
 
@@ -193,11 +192,16 @@ fn bench_size(name: &str, bench: Benchmark, scale: f64, args: &Args) -> Json {
             "analysis_streaming",
             "flat",
             measure(args.iters, branches, || {
-                let mut engine = StreamingInterleave::new();
+                let mut table = BranchTable::new();
+                let mut engine = Fold::new(0);
                 for rec in trace.records() {
-                    engine.push(rec);
+                    engine.push(
+                        table.intern(rec.pc).as_u32(),
+                        rec.time.get(),
+                        rec.is_taken(),
+                    );
                 }
-                let g = engine.finish().0.build();
+                let g = engine.into_delta().into_graph();
                 g.total_weight() ^ g.edge_count() as u64
             }),
         );

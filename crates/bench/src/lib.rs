@@ -144,17 +144,22 @@ where
     let chunk_size = (items.len() + max - 1) / max.max(1);
     let mut work: Vec<(&mut Option<T>, I)> =
         results.iter_mut().zip(items.iter().copied()).collect();
-    crossbeam::thread::scope(|scope| {
-        for chunk in work.chunks_mut(chunk_size) {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (slot, item) in chunk.iter_mut() {
-                    **slot = Some(f(*item));
-                }
-            });
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = work
+            .chunks_mut(chunk_size)
+            .map(|chunk| {
+                let f = &f;
+                scope.spawn(move || {
+                    for (slot, item) in chunk.iter_mut() {
+                        **slot = Some(f(*item));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("worker panicked");
         }
-    })
-    .expect("worker panicked");
+    });
     drop(work);
     results
         .into_iter()

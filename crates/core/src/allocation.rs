@@ -21,17 +21,16 @@ use bwsa_graph::coloring::{color_graph, ColoringOptions};
 use bwsa_graph::ConflictGraph;
 use bwsa_predictor::AllocatedIndex;
 use bwsa_trace::{BranchId, BranchTable};
-use serde::{Deserialize, Serialize};
 
 /// Options for the allocation routines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AllocationConfig {
     /// Coloring heuristics (merge-candidate order).
     pub coloring: ColoringOptions,
 }
 
 /// A complete branch → BHT entry assignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// The assignment, ready to drive a
     /// [`bwsa_predictor::BhtIndexer::Allocated`] PAg.
@@ -45,7 +44,7 @@ pub struct Allocation {
 }
 
 /// Entry-level occupancy view of an allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     /// Entries holding at least one branch.
     pub used_entries: usize,
@@ -178,7 +177,7 @@ pub fn conventional_conflict_mass(
 }
 
 /// Result of a required-size search (one Table 3 / Table 4 cell).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequiredSize {
     /// Smallest table size whose allocation mass is at or below the target.
     pub size: usize,

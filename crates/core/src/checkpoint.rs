@@ -2,8 +2,9 @@
 //! stream with periodic checkpoints, so a multi-hour profiling analysis
 //! survives being killed.
 //!
-//! [`StreamingAnalysis`] accumulates exactly the state the in-memory
-//! pipeline derives from a trace — the pc interner, per-branch execution
+//! [`StreamingAnalysis`] is a pc interner in front of a
+//! [`Fold`]: it accumulates exactly the state the in-memory pipeline
+//! derives from a trace — the pc interner, per-branch execution
 //! statistics, the interleave edge counts, and each branch's latest
 //! timestamp — one record at a time. [`StreamingAnalysis::save`] freezes
 //! that state into a self-validating byte blob (magic `BWCK`, version,
@@ -15,12 +16,12 @@
 //! latest-timestamp table.
 
 use crate::error::CoreError;
-use crate::interleave::StreamingInterleave;
+use crate::interleave::Fold;
+use crate::merge::ShardDelta;
 use crate::pipeline::{Analysis, AnalysisPipeline};
-use crate::{classify::classify_with, conflict::ConflictAnalysis, working_set::working_sets};
 use bwsa_graph::GraphBuilder;
 use bwsa_trace::codec::{self, Cursor};
-use bwsa_trace::profile::{BranchProfile, BranchStats};
+use bwsa_trace::profile::BranchStats;
 use bwsa_trace::{BranchRecord, BranchTable, TraceError};
 
 /// Magic prefix shared by all checkpoint files in the workspace.
@@ -63,9 +64,8 @@ pub const CHECKPOINT_KIND_ANALYSIS: u8 = 2;
 #[derive(Debug, Clone)]
 pub struct StreamingAnalysis {
     trace_name: String,
-    interleave: StreamingInterleave,
-    stats: Vec<BranchStats>,
-    records_consumed: u64,
+    table: BranchTable,
+    fold: Fold,
 }
 
 impl StreamingAnalysis {
@@ -73,9 +73,8 @@ impl StreamingAnalysis {
     pub fn new(trace_name: impl Into<String>) -> Self {
         StreamingAnalysis {
             trace_name: trace_name.into(),
-            interleave: StreamingInterleave::new(),
-            stats: Vec::new(),
-            records_consumed: 0,
+            table: BranchTable::new(),
+            fold: Fold::new(0),
         }
     }
 
@@ -86,30 +85,19 @@ impl StreamingAnalysis {
 
     /// Dynamic branches consumed so far.
     pub fn records_consumed(&self) -> u64 {
-        self.records_consumed
+        self.fold.record_count()
     }
 
     /// Distinct static branches seen so far.
     pub fn static_branch_count(&self) -> usize {
-        self.interleave.branch_count()
+        self.table.len()
     }
 
-    /// Consumes one dynamic branch record, updating the interleave engine
-    /// and the per-branch statistics exactly as
-    /// [`bwsa_trace::profile::BranchProfile::from_trace`] would.
+    /// Consumes one dynamic branch record: interns its pc, then folds it
+    /// into the interleave counts and per-branch statistics.
     pub fn push(&mut self, rec: &BranchRecord) {
-        let id = self.interleave.push(rec);
-        if id.index() >= self.stats.len() {
-            self.stats.resize(id.index() + 1, BranchStats::default());
-        }
-        let s = &mut self.stats[id.index()];
-        if s.executions == 0 {
-            s.first_time = rec.time;
-        }
-        s.executions += 1;
-        s.taken += rec.is_taken() as u64;
-        s.last_time = rec.time;
-        self.records_consumed += 1;
+        let id = self.table.intern(rec.pc);
+        self.fold.push(id.as_u32(), rec.time.get(), rec.is_taken());
     }
 
     /// Drains a fallible record source (e.g. a
@@ -140,45 +128,7 @@ impl StreamingAnalysis {
     /// counters reported into `obs`. The result is bit-identical either
     /// way.
     pub fn finish_observed(self, pipeline: &AnalysisPipeline, obs: &bwsa_obs::Obs) -> Analysis {
-        let StreamingAnalysis {
-            interleave,
-            stats,
-            records_consumed,
-            ..
-        } = self;
-        let (builder, _table) = interleave.finish();
-        let profile = BranchProfile::from_parts(stats, records_consumed);
-        let raw = builder.build();
-        obs.add("core.interleave_pairs", raw.edge_count() as u64);
-        obs.add("core.interleave_weight", raw.total_weight());
-        let conflict = {
-            let _span = obs.span("conflict_prune");
-            bwsa_resilience::failpoint!("core.conflict_prune");
-            ConflictAnalysis::of_raw_graph(raw, pipeline.conflict)
-        };
-        obs.add("core.graph_edges_raw", conflict.raw_edge_count as u64);
-        obs.add("core.graph_edges_kept", conflict.graph.edge_count() as u64);
-        let working = {
-            let _span = obs.span("working_sets");
-            bwsa_resilience::failpoint!("core.working_sets");
-            working_sets(&conflict.graph, &profile, pipeline.definition)
-        };
-        let classification = {
-            let _span = obs.span("classify");
-            bwsa_resilience::failpoint!("core.classify");
-            classify_with(
-                &profile,
-                pipeline.taken_threshold,
-                pipeline.not_taken_threshold,
-            )
-        };
-        obs.sample_peak_rss();
-        Analysis {
-            profile,
-            conflict,
-            working_sets: working,
-            classification,
-        }
+        self.fold.into_delta().finish(pipeline, obs)
     }
 
     /// [`StreamingAnalysis::save`] with the serialisation time recorded
@@ -209,29 +159,30 @@ impl StreamingAnalysis {
         buf.push(CHECKPOINT_KIND_ANALYSIS);
         codec::put_varint(&mut buf, self.trace_name.len() as u64);
         buf.extend_from_slice(self.trace_name.as_bytes());
-        codec::put_varint(&mut buf, self.records_consumed);
+        let delta = &self.fold.delta;
+        codec::put_varint(&mut buf, delta.records);
         // Interned pcs in id order — interning them again in this order
         // reproduces the table.
-        codec::put_varint(&mut buf, self.interleave.table.len() as u64);
-        for (_, pc) in self.interleave.table.iter() {
+        codec::put_varint(&mut buf, self.table.len() as u64);
+        for (_, pc) in self.table.iter() {
             codec::put_varint(&mut buf, pc.addr());
         }
         // Per-branch statistics, parallel to the table.
-        codec::put_varint(&mut buf, self.stats.len() as u64);
-        for s in &self.stats {
+        codec::put_varint(&mut buf, delta.stats.len() as u64);
+        for s in &delta.stats {
             codec::put_varint(&mut buf, s.executions);
             codec::put_varint(&mut buf, s.taken);
             codec::put_varint(&mut buf, s.first_time.get());
             codec::put_varint(&mut buf, s.last_time.get());
         }
         // Latest stamp per branch; stamp+1 so 0 encodes "never executed".
-        codec::put_varint(&mut buf, self.interleave.last_stamp.len() as u64);
-        for stamp in &self.interleave.last_stamp {
+        codec::put_varint(&mut buf, self.fold.last_stamp.len() as u64);
+        for stamp in &self.fold.last_stamp {
             codec::put_varint(&mut buf, stamp.map_or(0, |t| t + 1));
         }
         // Accumulated interleave edges, sorted for a deterministic
         // encoding (the builder stores them hashed).
-        let mut edges: Vec<(u32, u32, u64)> = self.interleave.builder.edges().collect();
+        let mut edges: Vec<(u32, u32, u64)> = delta.builder.edges().collect();
         edges.sort_unstable();
         codec::put_varint(&mut buf, edges.len() as u64);
         for (a, b, w) in edges {
@@ -370,11 +321,15 @@ impl StreamingAnalysis {
                 cur.remaining()
             )));
         }
+        let delta = ShardDelta {
+            builder,
+            stats,
+            records: records_consumed,
+        };
         Ok(StreamingAnalysis {
             trace_name,
-            interleave: StreamingInterleave::from_parts(table, builder, last_stamp),
-            stats,
-            records_consumed,
+            table,
+            fold: Fold::from_parts(delta, last_stamp),
         })
     }
 }

@@ -9,10 +9,9 @@
 
 use bwsa_graph::ConflictGraph;
 use bwsa_trace::{profile::BranchProfile, BranchId};
-use serde::{Deserialize, Serialize};
 
 /// The bias class of a static branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BiasClass {
     /// Taken rate at or above the taken threshold (default ≥ 99%).
     BiasedTaken,
@@ -23,7 +22,7 @@ pub enum BiasClass {
 }
 
 /// Per-branch bias classes computed from a profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Classification {
     classes: Vec<BiasClass>,
     taken_threshold: f64,

@@ -14,18 +14,16 @@
 //!
 //! [`analyze_columnar_stream`] is the constant-memory alternative: it
 //! walks blocks through [`bwsa_trace::columnar::BlockDecoder`]'s
-//! reusable SoA scratch and feeds the flat engines record by record,
-//! never materialising the trace.
+//! reusable SoA scratch and feeds each block's `(id, time, taken)`
+//! columns straight into a [`Fold`], never materialising the trace.
 
-use crate::checkpoint::StreamingAnalysis;
+use crate::interleave::Fold;
 use crate::parallel::parallel_map;
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_obs::Obs;
 use bwsa_trace::columnar::{BlockDecoder, ColumnarFile};
 use bwsa_trace::stream::{RecoveryPolicy, SalvageReport};
-use bwsa_trace::{
-    BranchId, BranchRecord, BranchTable, Direction, InstrCount, Pc, Trace, TraceError, TraceMeta,
-};
+use bwsa_trace::{BranchId, BranchRecord, BranchTable, Pc, Trace, TraceError, TraceMeta};
 use std::ops::Range;
 
 /// Record count below which [`decode_columnar`] decodes serially even
@@ -81,9 +79,10 @@ pub fn plan_block_shards(blocks: &[(u64, u32)], shards: usize) -> Vec<Range<usiz
 ///
 /// Footerless (torn) files and `jobs <= 1` fall back to the serial
 /// decoder under the given policy; the parallel path requires an intact
-/// footer and is strict per block (a corrupt block fails the decode, as
-/// serial strict would). The result is identical to
-/// [`bwsa_trace::columnar::read_columnar`] for every job count.
+/// footer and is strict per block, so under salvage a damaged block
+/// sends the whole file back through the serial salvage decoder. The
+/// result is identical to [`bwsa_trace::columnar::read_columnar`] for
+/// every job count.
 ///
 /// # Errors
 ///
@@ -116,6 +115,9 @@ pub fn decode_columnar(
         file.decode_range(range, &mut ids, &mut records)
             .map(|()| (ids, records))
     });
+    if policy == RecoveryPolicy::Salvage && decoded.iter().any(Result::is_err) {
+        return file.decode(policy);
+    }
     let mut ids: Vec<BranchId> = Vec::with_capacity(footer.record_count as usize);
     let mut records: Vec<BranchRecord> = Vec::with_capacity(footer.record_count as usize);
     let mut report = SalvageReport {
@@ -144,11 +146,15 @@ pub fn decode_columnar(
 
 /// Runs the full analysis pipeline over a `BWSS3` buffer block-at-a-time
 /// without materialising the trace: each block is decoded into reusable
-/// SoA scratch and its records stream straight into the flat engines.
+/// SoA scratch and its columns stream straight into a [`Fold`].
 ///
-/// Memory stays bounded by one block plus the engine state. The result
-/// is bit-identical to decoding the whole trace and running
-/// [`AnalysisPipeline::run_observed`] over it.
+/// Directory ids map to fold nodes through a per-file table that
+/// interns each branch on its first *recovered* execution, so nodes are
+/// numbered exactly as a decoded trace numbers its branches — no record
+/// is rebuilt and no pc is hashed per record. Memory stays bounded by
+/// one block plus the engine state. The result is bit-identical to
+/// decoding the whole trace and running [`AnalysisPipeline::run_observed`]
+/// over it.
 ///
 /// # Errors
 ///
@@ -168,7 +174,11 @@ pub fn analyze_columnar_stream(
         ));
     }
     let mut report = SalvageReport::default();
-    let mut analysis = StreamingAnalysis::new(file.name());
+    let mut fold = Fold::new(0);
+    // Directory id → fold node, `UNSEEN` until the branch first executes.
+    const UNSEEN: u32 = u32::MAX;
+    let mut node_of: Vec<u32> = Vec::new();
+    let mut table = BranchTable::new();
     let mut decoder = BlockDecoder::new(&file);
     let mut last_time = 0u64;
     loop {
@@ -192,12 +202,14 @@ pub fn analyze_columnar_stream(
                 last_time = view.times.last().copied().unwrap_or(last_time);
                 report.chunks_ok += 1;
                 report.records_recovered += view.ids.len() as u64;
+                node_of.resize(view.pcs.len(), UNSEEN);
                 for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
-                    analysis.push(&BranchRecord::new(
-                        Pc::new(view.pcs[id as usize]),
-                        Direction::from_taken(taken),
-                        InstrCount::new(time),
-                    ));
+                    let mut node = node_of[id as usize];
+                    if node == UNSEEN {
+                        node = table.intern(Pc::new(view.pcs[id as usize])).as_u32();
+                        node_of[id as usize] = node;
+                    }
+                    fold.push(node, time, taken);
                 }
             }
             Err(e) => {
@@ -216,7 +228,7 @@ pub fn analyze_columnar_stream(
     }
     obs.add("trace.records_read", report.records_recovered);
     obs.add("trace.chunks_ok", report.chunks_ok);
-    Ok((analysis.finish_observed(pipeline, obs), report))
+    Ok((fold.into_delta().finish(pipeline, obs), report))
 }
 
 #[cfg(test)]
@@ -322,6 +334,23 @@ mod tests {
         }
         let expected = pipeline.run_observed(&b.finish(), &Obs::noop());
         assert_eq!(streamed, expected);
+    }
+
+    #[test]
+    fn parallel_salvage_of_a_damaged_block_matches_serial_salvage() {
+        // Large enough for the block-parallel path, which is strict per
+        // block: under salvage a damaged block must not fail the decode.
+        let trace = busy_trace(PARALLEL_DECODE_MIN_RECORDS + 1000);
+        let mut buf = encode(&trace, 4096);
+        let file = ColumnarFile::parse(&buf).unwrap();
+        let block1 = file.footer().unwrap().blocks[1].0 as usize;
+        buf[block1 + 40] ^= 0xFF; // a payload byte: the block CRC fails
+        let (serial, serial_report) = read_columnar(&buf, RecoveryPolicy::Salvage).unwrap();
+        assert_eq!(serial_report.chunks_dropped, 1);
+        let (parallel, report) = decode_columnar(&buf, RecoveryPolicy::Salvage, 2).unwrap();
+        assert_eq!(parallel, serial);
+        assert_eq!(report, serial_report);
+        assert!(decode_columnar(&buf, RecoveryPolicy::Strict, 2).is_err());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 use crate::{interleave_counts, CoreError};
 use bwsa_graph::ConflictGraph;
 use bwsa_trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of conflict-graph construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConflictConfig {
     /// Minimum interleave count for an edge to survive (§4.2). The paper
     /// uses 100 and reports that 500 or 1000 "show no significant
@@ -56,7 +55,7 @@ impl ConflictConfig {
 /// assert_eq!(analysis.graph.edge_count(), 1);
 /// assert!(analysis.graph.edge_weight(0, 1).unwrap() >= 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConflictAnalysis {
     /// The thresholded conflict graph used by all downstream analyses.
     pub graph: ConflictGraph,

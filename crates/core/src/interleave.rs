@@ -7,17 +7,20 @@
 //! then, and each such pair's interleave counter is incremented once — the
 //! paper's Figure 1 procedure, verbatim.
 //!
-//! [`interleave_counts`] maintains a recency index of
-//! `(latest timestamp, branch)` pairs so each detection is a binary
-//! search plus a short scan over exactly the branches involved, costing
-//! `O(k + log n)` per dynamic branch where `k` is the instantaneous
-//! working-set size — the very quantity the paper shows stays small.
-//! Because trace timestamps are nondecreasing, the index is a flat
-//! append-only ring ([`crate::recency::RecencyRing`]) rather than a
+//! [`Fold`] is the one implementation of that procedure. It maintains a
+//! recency index of `(latest timestamp, branch)` pairs so each detection
+//! is a binary search plus a short scan over exactly the branches
+//! involved, costing `O(k + log n)` per dynamic branch where `k` is the
+//! instantaneous working-set size — the very quantity the paper shows
+//! stays small. Because trace timestamps are nondecreasing, the index is
+//! a flat append-only ring ([`crate::recency::RecencyRing`]) rather than a
 //! search tree: inserts land at the tail, and dead entries are reclaimed
-//! by amortised compaction. [`interleave_counts_naive`] is an independent
-//! linear-scan oracle used by the tests.
+//! by amortised compaction. Every engine — in-memory, sharded, streamed,
+//! checkpointed, windowed — drives a [`Fold`]; only the record source
+//! differs. [`interleave_counts_naive`] is an independent linear-scan
+//! oracle used by the tests.
 
+use crate::merge::ShardDelta;
 use crate::recency::RecencyRing;
 use bwsa_graph::GraphBuilder;
 use bwsa_trace::Trace;
@@ -49,56 +52,11 @@ use bwsa_trace::Trace;
 /// assert_eq!(g.edge_weight(1, 2), None);    // B and C never re-executed
 /// ```
 pub fn interleave_counts(trace: &Trace) -> GraphBuilder {
-    let n = trace.static_branch_count();
-    let mut builder = GraphBuilder::new(n as u32);
-    let mut last_stamp: Vec<Option<u64>> = vec![None; n];
-    let records = trace
-        .indexed_records()
-        .map(|(id, rec)| (id.as_u32(), rec.time.get()));
-    interleave_into(&mut builder, &mut last_stamp, records);
-    builder
-}
-
-/// The Figure 1 detection procedure over pre-interned `(branch, stamp)`
-/// pairs, resuming from (and mutating) an explicit latest-stamp state.
-///
-/// This is the shared core of [`interleave_counts`] (which starts from an
-/// empty state) and the parallel shard engine in [`crate::merge`] (which
-/// seeds each shard with the latest stamps accumulated by every earlier
-/// shard, making the sharded run bit-identical to the serial one). The
-/// recency index is rebuilt from `last_stamp`, whose entries are exactly
-/// `(last_stamp[b], b)` for every executed branch — the same argument that
-/// makes [`StreamingInterleave::from_parts`] an exact resume.
-///
-/// `builder` must already declare at least as many nodes as any branch id
-/// in `records`; `last_stamp` is grown on demand.
-pub(crate) fn interleave_into(
-    builder: &mut GraphBuilder,
-    last_stamp: &mut Vec<Option<u64>>,
-    records: impl Iterator<Item = (u32, u64)>,
-) {
-    // Recency index: one live (latest stamp, branch) entry per executed
-    // branch, kept sorted by exploiting the monotone timestamps.
-    let mut recency = RecencyRing::from_stamps(last_stamp);
-    // Reusable scratch for the branches hit by each scan.
-    let mut hits: Vec<u32> = Vec::new();
-
-    for (node, t) in records {
-        if node as usize >= last_stamp.len() {
-            last_stamp.resize(node as usize + 1, None);
-        }
-        if let Some(prev) = last_stamp[node as usize] {
-            // Every branch whose latest stamp is strictly greater than
-            // this branch's previous stamp interleaved with it.
-            hits.clear();
-            recency.collect_after(prev, node, &mut hits);
-            for &b in &hits {
-                builder.add_edge(node, b, 1);
-            }
-        }
-        recency.record(node, t);
-        last_stamp[node as usize] = Some(t);
+    let mut fold = Fold::new(trace.static_branch_count());
+    for (id, rec) in trace.indexed_records() {
+        fold.push(id.as_u32(), rec.time.get(), rec.is_taken());
     }
+    fold.into_delta().builder
 }
 
 /// Reference implementation of [`interleave_counts`], independent of the
@@ -131,141 +89,125 @@ pub fn interleave_counts_naive(trace: &Trace) -> GraphBuilder {
     builder
 }
 
-/// Streaming variant of [`interleave_counts`]: consumes any fallible
-/// record iterator (e.g. a [`bwsa_trace::stream::StreamReader`] over a
-/// trace file) without materialising the trace, interning static
-/// branches by pc on the fly.
+/// The Figure 1 fold: the one owner of the detection loop and the
+/// per-branch statistics update.
 ///
-/// Returns the interleave-count builder together with the pc ↔ id
-/// interner needed to relate graph nodes back to branches.
+/// A fold holds the interleave edges and branch statistics accumulated so
+/// far (a [`ShardDelta`]) plus the engine state the next record needs:
+/// each branch's latest stamp, the recency index over those stamps, and
+/// scratch for the branches one scan hits. Records arrive as pre-interned
+/// `(node, time, taken)` triples in trace order; node ids beyond the
+/// current node count grow every table on demand, so streamed sources
+/// need not know the branch count up front.
 ///
-/// Memory use is `O(static branches + edges)` — independent of trace
-/// length — so arbitrarily long profiling runs can be analysed.
-///
-/// # Errors
-///
-/// Propagates the first error the record source yields.
+/// The latest stamps are the whole resumable state — the recency index is
+/// derivable from them — which is what makes [`Fold::seeded`] an exact
+/// resume: sharded runs seed each shard with the stamps every earlier
+/// shard leaves, and checkpoints store the stamps instead of the index.
 ///
 /// # Example
 ///
 /// ```
-/// use bwsa_core::interleave::interleave_counts_streaming;
-/// use bwsa_trace::BranchRecord;
+/// use bwsa_core::interleave::Fold;
 ///
-/// # fn main() -> Result<(), bwsa_trace::TraceError> {
-/// let records = [(0xa, 5), (0xb, 10), (0xc, 15), (0xa, 20)]
-///     .map(|(pc, t)| Ok(BranchRecord::from_raw(pc, true, t)));
-/// let (builder, table) = interleave_counts_streaming(records)?;
-/// let g = builder.build();
-/// assert_eq!(table.len(), 3);
-/// assert_eq!(g.edge_weight(0, 1), Some(1)); // A–B
-/// assert_eq!(g.edge_weight(0, 2), Some(1)); // A–C
-/// # Ok(())
-/// # }
+/// // Figure 1: A(5) B(10) C(15) A(20) → A/B and A/C interleave once.
+/// let mut fold = Fold::new(0);
+/// for (node, time) in [(0, 5), (1, 10), (2, 15), (0, 20)] {
+///     fold.push(node, time, true);
+/// }
+/// assert_eq!(fold.record_count(), 4);
+/// let g = fold.into_delta().into_graph();
+/// assert_eq!(g.edge_weight(0, 1), Some(1));
+/// assert_eq!(g.edge_weight(0, 2), Some(1));
 /// ```
-pub fn interleave_counts_streaming<I>(
-    records: I,
-) -> Result<(GraphBuilder, bwsa_trace::BranchTable), bwsa_trace::TraceError>
-where
-    I: IntoIterator<Item = Result<bwsa_trace::BranchRecord, bwsa_trace::TraceError>>,
-{
-    let mut engine = StreamingInterleave::new();
-    for record in records {
-        engine.push(&record?);
-    }
-    Ok(engine.finish())
-}
-
-/// Incremental interleave-detection engine — the state behind
-/// [`interleave_counts_streaming`], exposed as a struct so it can be
-/// driven record-by-record, suspended into a checkpoint, and resumed
-/// (see [`crate::StreamingAnalysis`]).
-///
-/// Feeding every record of a trace through [`StreamingInterleave::push`]
-/// and calling [`StreamingInterleave::finish`] produces exactly the
-/// builder/table pair of [`interleave_counts_streaming`].
 #[derive(Debug, Clone)]
-pub struct StreamingInterleave {
-    pub(crate) table: bwsa_trace::BranchTable,
-    pub(crate) builder: GraphBuilder,
-    /// `last_stamp[b]` = timestamp of b's previous dynamic instance.
+pub struct Fold {
+    /// Edges and statistics accumulated so far.
+    pub(crate) delta: ShardDelta,
+    /// `last_stamp[b]` = timestamp of b's latest dynamic instance.
     pub(crate) last_stamp: Vec<Option<u64>>,
-    /// Recency index: one live (latest stamp, branch) entry per executed
-    /// branch. Derivable from `last_stamp`, so checkpoints omit it —
-    /// see [`StreamingInterleave::from_parts`].
+    /// One live (latest stamp, branch) entry per executed branch.
     recency: RecencyRing,
     /// Reusable scratch for the branches hit by each scan.
     hits: Vec<u32>,
 }
 
-impl StreamingInterleave {
-    /// Creates an empty engine with no branches seen.
-    pub fn new() -> Self {
-        StreamingInterleave {
-            table: bwsa_trace::BranchTable::new(),
-            builder: GraphBuilder::new(0),
-            last_stamp: Vec::new(),
-            recency: RecencyRing::new(),
-            hits: Vec::new(),
-        }
+impl Fold {
+    /// An empty fold over `nodes` branches (more appear on demand).
+    pub fn new(nodes: usize) -> Self {
+        Self::seeded(nodes, Vec::new())
     }
 
-    /// Reassembles an engine from checkpointed state: the pc interner,
-    /// the accumulated edge builder, and the per-branch latest stamps.
-    /// The recency index is rebuilt from `last_stamp`, since its entries
-    /// are exactly `(last_stamp[b], b)` for every executed branch.
-    pub(crate) fn from_parts(
-        table: bwsa_trace::BranchTable,
-        builder: GraphBuilder,
-        last_stamp: Vec<Option<u64>>,
-    ) -> Self {
-        let recency = RecencyRing::from_stamps(&last_stamp);
-        StreamingInterleave {
-            table,
-            builder,
+    /// A fold resuming from the latest-stamp state `last_stamp` (indexed
+    /// by node, `None` = never executed) with no edges or statistics yet:
+    /// pushing a record range here detects exactly the edges an
+    /// uninterrupted fold detects over that range.
+    pub fn seeded(nodes: usize, mut last_stamp: Vec<Option<u64>>) -> Self {
+        let nodes = nodes.max(last_stamp.len());
+        last_stamp.resize(nodes, None);
+        Self::from_parts(ShardDelta::empty(nodes), last_stamp)
+    }
+
+    /// Reassembles a fold from checkpointed parts; the recency index is
+    /// rebuilt from `last_stamp`, whose entries are exactly
+    /// `(last_stamp[b], b)` for every executed branch.
+    pub(crate) fn from_parts(delta: ShardDelta, last_stamp: Vec<Option<u64>>) -> Self {
+        Fold {
+            recency: RecencyRing::from_stamps(&last_stamp),
+            delta,
             last_stamp,
-            recency,
             hits: Vec::new(),
         }
     }
 
-    /// Number of distinct static branches seen so far.
-    pub fn branch_count(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Consumes one dynamic branch record, interning its pc and crediting
-    /// an interleave to every branch executed since this branch's previous
-    /// instance. Returns the record's static branch id.
-    pub fn push(&mut self, rec: &bwsa_trace::BranchRecord) -> bwsa_trace::BranchId {
-        let id = self.table.intern(rec.pc);
-        let node = id.as_u32();
-        if node as usize >= self.last_stamp.len() {
-            self.last_stamp.resize(node as usize + 1, None);
-            self.builder.ensure_nodes(node + 1);
+    /// Consumes one dynamic branch: credits an interleave to every branch
+    /// executed since `node`'s previous instance, then accounts the
+    /// execution in `node`'s statistics.
+    #[inline]
+    pub fn push(&mut self, node: u32, time: u64, taken: bool) {
+        let b = node as usize;
+        if b >= self.last_stamp.len() {
+            self.grow(b + 1);
         }
-        let t = rec.time.get();
-        if let Some(prev) = self.last_stamp[node as usize] {
+        if let Some(prev) = self.last_stamp[b] {
+            // Every branch whose latest stamp is strictly greater than
+            // this branch's previous stamp interleaved with it.
             self.hits.clear();
             self.recency.collect_after(prev, node, &mut self.hits);
-            for &b in &self.hits {
-                self.builder.add_edge(node, b, 1);
+            for &other in &self.hits {
+                self.delta.builder.add_edge(node, other, 1);
             }
         }
-        self.recency.record(node, t);
-        self.last_stamp[node as usize] = Some(t);
-        id
+        self.recency.record(node, time);
+        self.last_stamp[b] = Some(time);
+        self.delta.stats[b].record(time.into(), taken);
+        self.delta.records += 1;
     }
 
-    /// Yields the accumulated interleave counts and the pc ↔ id interner.
-    pub fn finish(self) -> (GraphBuilder, bwsa_trace::BranchTable) {
-        (self.builder, self.table)
+    #[cold]
+    fn grow(&mut self, nodes: usize) {
+        self.last_stamp.resize(nodes, None);
+        self.delta.stats.resize(nodes, Default::default());
+        self.delta.builder.ensure_nodes(nodes as u32);
     }
-}
 
-impl Default for StreamingInterleave {
-    fn default() -> Self {
-        StreamingInterleave::new()
+    /// Dynamic records consumed so far.
+    pub fn record_count(&self) -> u64 {
+        self.delta.records
+    }
+
+    /// Hands out the edges and statistics accumulated since the fold
+    /// started (or since the last take), leaving the engine state in
+    /// place: records pushed afterwards land in a fresh delta, seeded
+    /// exactly as a [`Fold::seeded`] fold would be. This is the window
+    /// flush hook.
+    pub fn take_delta(&mut self) -> ShardDelta {
+        std::mem::replace(&mut self.delta, ShardDelta::empty(self.last_stamp.len()))
+    }
+
+    /// The accumulated edges and statistics.
+    pub fn into_delta(self) -> ShardDelta {
+        self.delta
     }
 }
 
@@ -377,53 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_in_memory_on_a_real_trace() {
-        let mut t = TraceBuilder::new("s");
-        let pcs = [0xa, 0xb, 0xa, 0xc, 0xb, 0xa, 0xd, 0xc, 0xa, 0xb];
-        for (i, pc) in pcs.into_iter().enumerate() {
-            t.record(pc, i % 2 == 0, (i as u64 + 1) * 3);
-        }
-        let trace = t.finish();
-        let in_memory = interleave_counts(&trace).build();
-        let records = trace.records().iter().map(|r| Ok(*r));
-        let (builder, table) = interleave_counts_streaming(records).unwrap();
-        assert_eq!(builder.build(), in_memory);
-        assert_eq!(table.len(), trace.static_branch_count());
-        // Interning order matches the trace's.
-        for (id, pc) in trace.table().iter() {
-            assert_eq!(table.id_of(pc), Some(id));
-        }
-    }
-
-    #[test]
-    fn streaming_propagates_source_errors() {
-        let records = vec![
-            Ok(bwsa_trace::BranchRecord::from_raw(0xa, true, 1)),
-            Err(bwsa_trace::TraceError::format("boom")),
-        ];
-        assert!(interleave_counts_streaming(records).is_err());
-    }
-
-    #[test]
-    fn streaming_from_stream_reader_roundtrip() {
-        use bwsa_trace::stream::{StreamReader, StreamWriter};
-        let mut t = TraceBuilder::new("s");
-        for i in 0..500u64 {
-            t.record(0x100 + (i % 5) * 4, i % 3 == 0, i + 1);
-        }
-        let trace = t.finish();
-        let mut buf = Vec::new();
-        let mut w = StreamWriter::new(&mut buf, "s").unwrap();
-        for r in trace.records() {
-            w.push(*r).unwrap();
-        }
-        w.finish(0).unwrap();
-        let reader = StreamReader::new(&buf[..]).unwrap();
-        let (builder, _) = interleave_counts_streaming(reader).unwrap();
-        assert_eq!(builder.build(), interleave_counts(&trace).build());
-    }
-
-    #[test]
     fn max_stamp_reexecution_does_not_overflow() {
         // Regression: the old recency index scanned `(prev + 1, 0)..`,
         // which overflowed (release-checked panic) when a branch stamped
@@ -444,13 +339,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_push_handles_max_stamp_reexecution() {
-        let mut engine = StreamingInterleave::new();
-        for (pc, t) in [(0xa, u64::MAX), (0xb, u64::MAX), (0xa, u64::MAX)] {
-            engine.push(&bwsa_trace::BranchRecord::from_raw(pc, true, t));
+    fn fold_push_handles_max_stamp_reexecution() {
+        let mut fold = Fold::new(0);
+        for (node, t) in [(0, u64::MAX), (1, u64::MAX), (0, u64::MAX)] {
+            fold.push(node, t, true);
         }
-        let (builder, _) = engine.finish();
-        assert_eq!(builder.edge_count(), 0, "equal stamps never interleave");
+        assert_eq!(
+            fold.into_delta().builder.edge_count(),
+            0,
+            "equal stamps never interleave"
+        );
     }
 
     #[test]
@@ -461,37 +359,36 @@ mod tests {
     }
 
     #[test]
-    fn suspended_and_resumed_engine_matches_straight_run() {
+    fn seeded_fold_resumes_a_straight_run_exactly() {
         let mut t = TraceBuilder::new("resume");
         let pcs = [0xa, 0xb, 0xa, 0xc, 0xb, 0xa, 0xd, 0xc, 0xa, 0xb, 0xc, 0xd];
         for (i, pc) in pcs.into_iter().enumerate() {
             t.record(pc, i % 2 == 0, (i as u64 + 1) * 3);
         }
         let trace = t.finish();
-        let records = trace.records();
+        let records: Vec<(u32, u64, bool)> = trace
+            .indexed_records()
+            .map(|(id, r)| (id.as_u32(), r.time.get(), r.is_taken()))
+            .collect();
         for split in 0..records.len() {
-            // Run the first `split` records, tear the engine down to the
-            // parts a checkpoint stores, rebuild, and finish the rest.
-            let mut first = StreamingInterleave::new();
-            for r in &records[..split] {
-                first.push(r);
+            // Run the prefix, keep only its latest stamps, and fold the
+            // rest from them; the two deltas merge into the whole.
+            let mut first = Fold::new(0);
+            for &(node, time, taken) in &records[..split] {
+                first.push(node, time, taken);
             }
-            let StreamingInterleave {
-                table,
-                builder,
-                last_stamp,
-                ..
-            } = first;
-            let mut resumed = StreamingInterleave::from_parts(table, builder, last_stamp);
-            for r in &records[split..] {
-                resumed.push(r);
+            let mut rest = Fold::seeded(0, first.last_stamp.clone());
+            for &(node, time, taken) in &records[split..] {
+                rest.push(node, time, taken);
             }
-            let (resumed_builder, _) = resumed.finish();
+            let mut merged = first.into_delta();
+            merged.merge(&rest.into_delta());
             assert_eq!(
-                weights(&resumed_builder),
+                weights(&merged.builder),
                 weights(&interleave_counts(&trace)),
                 "split at {split}"
             );
+            assert_eq!(merged.records, trace.len() as u64);
         }
     }
 }

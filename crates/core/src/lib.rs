@@ -8,7 +8,7 @@
 //! 1. [`interleave`] — timestamp analysis: when a branch re-executes,
 //!    every branch whose latest execution falls after its previous
 //!    instance has *interleaved* with it; each detection bumps the pair's
-//!    interleave counter.
+//!    interleave counter. One [`Fold`] runs this loop for every engine.
 //! 2. [`conflict`] — the counters become a weighted **branch conflict
 //!    graph**, thresholded (default 100) to discard incidental conflicts.
 //! 3. [`working_set`] — working sets are completely interconnected
@@ -27,8 +27,8 @@
 //! * [`parallel`] — sharded multi-threaded execution of the pipeline,
 //!   bit-identical to the serial pass.
 //! * [`columnar`] — `BWSS3` ingest: footer-driven shard planning,
-//!   parallel block-range decode, and block-wise streaming into the
-//!   flat engines.
+//!   parallel block-range decode, and block-wise streaming into a
+//!   [`Fold`].
 //! * [`phases`] — working sets over time (transition detection).
 //! * [`pipeline`] — the pipeline engine and its products.
 //! * [`session`] — the [`Session`] entry point: trace + configuration +
@@ -125,7 +125,7 @@ pub use checkpoint::StreamingAnalysis;
 pub use classify::{classify, BiasClass, Classification};
 pub use conflict::{ConflictAnalysis, ConflictConfig};
 pub use error::{CoreError, Error};
-pub use interleave::{interleave_counts, interleave_counts_naive, StreamingInterleave};
+pub use interleave::{interleave_counts, interleave_counts_naive, Fold};
 pub use parallel::{
     analyze_parallel, analyze_parallel_observed, analyze_parallel_supervised, parallel_map,
     ParallelConfig, ShardRetryPolicy,

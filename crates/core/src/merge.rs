@@ -27,10 +27,12 @@
 //!   checks exhaustively.
 
 use crate::conflict::{ConflictAnalysis, ConflictConfig};
-use crate::interleave::interleave_into;
+use crate::interleave::Fold;
 use crate::interleave_counts;
+use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_graph::GraphBuilder;
-use bwsa_trace::profile::BranchStats;
+use bwsa_obs::Obs;
+use bwsa_trace::profile::{BranchProfile, BranchStats};
 use bwsa_trace::{BranchTable, Trace};
 
 /// An accumulating multi-input conflict profile.
@@ -213,27 +215,11 @@ impl ShardDelta {
         carry: &ShardBoundary,
         records: impl Iterator<Item = (u32, u64, bool)>,
     ) -> Self {
-        let mut delta = Self::empty(nodes);
-        let mut last_stamp = carry.stamps.clone();
-        last_stamp.resize(nodes, None);
-        let stats = &mut delta.stats;
-        let counted = &mut delta.records;
-        interleave_into(
-            &mut delta.builder,
-            &mut last_stamp,
-            records.map(|(node, t, taken)| {
-                let s = &mut stats[node as usize];
-                if s.executions == 0 {
-                    s.first_time = t.into();
-                }
-                s.executions += 1;
-                s.taken += taken as u64;
-                s.last_time = t.into();
-                *counted += 1;
-                (node, t)
-            }),
-        );
-        delta
+        let mut fold = Fold::seeded(nodes, carry.stamps.clone());
+        for (node, t, taken) in records {
+            fold.push(node, t, taken);
+        }
+        fold.into_delta()
     }
 
     /// Folds a *later* shard's contribution onto this one.
@@ -266,6 +252,14 @@ impl ShardDelta {
     /// Compiles the accumulated interleave edges into an immutable graph.
     pub fn into_graph(self) -> bwsa_graph::ConflictGraph {
         self.builder.build()
+    }
+
+    /// Completes the pipeline on the accumulated edges and statistics —
+    /// the shared tail of every sharded, streamed, and windowed driver
+    /// (`AnalysisPipeline::finish`).
+    pub fn finish(self, pipeline: &AnalysisPipeline, obs: &Obs) -> Analysis {
+        let profile = BranchProfile::from_parts(self.stats, self.records);
+        pipeline.finish(profile, self.builder.build(), obs)
     }
 }
 

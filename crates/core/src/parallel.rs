@@ -21,22 +21,17 @@
 //! and any worker count — a property the test suite checks against
 //! arbitrary traces (`crates/core/tests/parallel_prop.rs`).
 //!
-//! Workers are plain scoped threads fed from a shared
-//! [`crossbeam::queue::SegQueue`] of shard indices; results carry their
-//! index and are sorted after the scope joins, so scheduling order never
-//! leaks into the output.
+//! Workers are plain scoped threads that claim shards through a shared
+//! atomic work index; results carry their index and are sorted after the
+//! scope joins, so scheduling order never leaks into the output.
 
-use crate::conflict::ConflictAnalysis;
 use crate::merge::{ShardBoundary, ShardDelta};
 use crate::pipeline::{Analysis, AnalysisPipeline};
-use crate::{classify::classify_with, working_set::working_sets};
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor::{catch, Backoff, ResilienceError};
-use bwsa_trace::profile::BranchProfile;
 use bwsa_trace::{Trace, TraceShard};
-use crossbeam::queue::SegQueue;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -87,9 +82,9 @@ impl Default for ParallelConfig {
 /// Applies `f` to every item on `jobs` worker threads, returning results
 /// in item order regardless of how the work was scheduled.
 ///
-/// Items are pulled from a shared queue, so uneven per-item cost balances
-/// across workers; each worker accumulates `(index, result)` pairs locally
-/// and merges them under one lock when its queue runs dry.
+/// Workers claim items through a shared atomic index, so uneven per-item
+/// cost balances across workers; each worker accumulates
+/// `(index, result)` pairs locally and hands them back when it joins.
 ///
 /// # Panics
 ///
@@ -108,21 +103,28 @@ where
             .map(|(i, item)| f(i, item))
             .collect();
     }
-    let queue: SegQueue<(usize, T)> = items.into_iter().enumerate().collect();
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::new());
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| {
-                let mut local = Vec::new();
-                while let Some((i, item)) = queue.pop() {
-                    local.push((i, f(i, item)));
-                }
-                collected.lock().expect("results poisoned").extend(local);
-            });
-        }
-    })
-    .expect("parallel_map worker panicked");
-    let mut results = collected.into_inner().expect("results poisoned");
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(i) else { break };
+                        let item = slot.lock().expect("results poisoned").take();
+                        local.push((i, f(i, item.expect("every item is claimed once"))));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("parallel_map worker panicked"))
+            .collect()
+    });
     results.sort_unstable_by_key(|&(i, _)| i);
     results.into_iter().map(|(_, r)| r).collect()
 }
@@ -360,49 +362,13 @@ fn analyze_parallel_with<M: ShardMapper>(
     };
     obs.add("core.shards_merged", deltas.len() as u64);
 
-    // Associative fold, then the same assembly as a streaming finish.
+    // Associative fold, then the shared tail.
     bwsa_resilience::failpoint!("core.shard_merge");
     let mut total = ShardDelta::empty(n);
     for delta in &deltas {
         total.merge(delta);
     }
-    let ShardDelta {
-        builder,
-        stats,
-        records,
-    } = total;
-    let profile = BranchProfile::from_parts(stats, records);
-    let raw = builder.build();
-    obs.add("core.interleave_pairs", raw.edge_count() as u64);
-    obs.add("core.interleave_weight", raw.total_weight());
-    let conflict = {
-        let _span = obs.span("conflict_prune");
-        bwsa_resilience::failpoint!("core.conflict_prune");
-        ConflictAnalysis::of_raw_graph(raw, pipeline.conflict)
-    };
-    obs.add("core.graph_edges_raw", conflict.raw_edge_count as u64);
-    obs.add("core.graph_edges_kept", conflict.graph.edge_count() as u64);
-    let working = {
-        let _span = obs.span("working_sets");
-        bwsa_resilience::failpoint!("core.working_sets");
-        working_sets(&conflict.graph, &profile, pipeline.definition)
-    };
-    let classification = {
-        let _span = obs.span("classify");
-        bwsa_resilience::failpoint!("core.classify");
-        classify_with(
-            &profile,
-            pipeline.taken_threshold,
-            pipeline.not_taken_threshold,
-        )
-    };
-    obs.sample_peak_rss();
-    Ok(Analysis {
-        profile,
-        conflict,
-        working_sets: working,
-        classification,
-    })
+    Ok(total.finish(pipeline, obs))
 }
 
 #[cfg(test)]

@@ -17,12 +17,12 @@ use crate::error::Error;
 use crate::session::Classified;
 use crate::working_set::{working_sets, WorkingSetDefinition, WorkingSets};
 use crate::CoreError;
+use bwsa_graph::ConflictGraph;
 use bwsa_obs::Obs;
 use bwsa_trace::{profile::BranchProfile, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the end-to-end analysis pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisPipeline {
     /// Conflict-graph thresholding (§4.2; default 100).
     pub conflict: ConflictConfig,
@@ -49,7 +49,7 @@ impl Default for AnalysisPipeline {
 }
 
 /// Everything the paper computes about one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     /// Per-branch execution statistics.
     pub profile: BranchProfile,
@@ -132,6 +132,18 @@ impl AnalysisPipeline {
             bwsa_resilience::failpoint!("core.interleave");
             crate::interleave_counts(trace).build()
         };
+        self.finish(profile, raw, obs)
+    }
+
+    /// Steps 2–3 plus classification over a finished profile and raw
+    /// interleave graph: conflict pruning, working sets, and bias
+    /// classes, each under its own stage span and failpoint, with the
+    /// graph counters reported into `obs`.
+    ///
+    /// This is the one tail every driver shares — in-memory, sharded,
+    /// streamed, checkpointed, and windowed runs differ only in how they
+    /// accumulate `profile` and `raw`.
+    pub(crate) fn finish(&self, profile: BranchProfile, raw: ConflictGraph, obs: &Obs) -> Analysis {
         obs.add("core.interleave_pairs", raw.edge_count() as u64);
         obs.add("core.interleave_weight", raw.total_weight());
         let conflict = {

@@ -19,7 +19,7 @@
 //! constant factor.
 //!
 //! Out-of-order stamps cannot arrive from any in-repo producer, but
-//! [`crate::StreamingInterleave::push`] is a public API, so a regressing
+//! [`crate::Fold::push`] is a public API, so a regressing
 //! stamp takes a correct (if slow) sorted-insert path rather than
 //! corrupting the index. Equivalence with the previous tree-based engine
 //! — including ties and stamps at `u64::MAX` — is property-tested in
@@ -42,11 +42,6 @@ pub(crate) struct RecencyRing {
 }
 
 impl RecencyRing {
-    /// An empty index.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Rebuilds the index from per-branch latest stamps — the checkpoint
     /// resume path. Entry `(last_stamp[b], b)` exists for every executed
     /// branch, exactly the state an incremental run would hold.
@@ -158,7 +153,7 @@ mod tests {
 
     #[test]
     fn scan_returns_strictly_later_live_branches() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         r.record(0, 5);
         r.record(1, 10);
         r.record(2, 15);
@@ -169,7 +164,7 @@ mod tests {
 
     #[test]
     fn reexecution_supersedes_the_old_entry() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         r.record(0, 5);
         r.record(1, 10);
         r.record(0, 20);
@@ -185,7 +180,7 @@ mod tests {
 
     #[test]
     fn max_stamp_scan_is_empty_not_overflowing() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         r.record(0, u64::MAX);
         r.record(1, u64::MAX);
         assert_eq!(hits(&r, u64::MAX, 0), Vec::<u32>::new());
@@ -194,7 +189,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_scan_results() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         // Two branches alternating for long enough to trigger compaction
         // many times over.
         for i in 0..10_000u64 {
@@ -207,7 +202,7 @@ mod tests {
 
     #[test]
     fn out_of_order_insert_keeps_the_index_exact() {
-        let mut r = RecencyRing::new();
+        let mut r = RecencyRing::default();
         r.record(0, 10);
         r.record(1, 20);
         r.record(2, 30);
@@ -223,7 +218,7 @@ mod tests {
     fn from_stamps_matches_incremental_construction() {
         let stamps = vec![Some(7u64), None, Some(3), Some(7), None, Some(12)];
         let rebuilt = RecencyRing::from_stamps(&stamps);
-        let mut incremental = RecencyRing::new();
+        let mut incremental = RecencyRing::default();
         incremental.record(2, 3);
         incremental.record(0, 7);
         incremental.record(3, 7);

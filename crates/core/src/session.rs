@@ -284,54 +284,9 @@ impl<'t> Session<'t> {
     }
 
     /// The session's configuration as an ordered JSON object — the
-    /// `config` echo embedded in run reports.
+    /// `config` echo embedded in run reports (see [`config_json`]).
     pub fn config_json(&self) -> Json {
-        let (mode, jobs, shards) = match &self.execution {
-            Execution::Serial => ("serial", 1u64, Json::Null),
-            Execution::Parallel(c) => (
-                "parallel",
-                c.jobs.get() as u64,
-                match c.shards {
-                    Some(s) => Json::UInt(s.get() as u64),
-                    None => Json::Null,
-                },
-            ),
-        };
-        Json::object([
-            (
-                "conflict_threshold",
-                Json::UInt(self.pipeline.conflict.threshold),
-            ),
-            (
-                "working_set_definition",
-                Json::from(format!("{:?}", self.pipeline.definition)),
-            ),
-            (
-                "taken_threshold",
-                Json::Float(self.pipeline.taken_threshold),
-            ),
-            (
-                "not_taken_threshold",
-                Json::Float(self.pipeline.not_taken_threshold),
-            ),
-            ("execution", Json::from(mode)),
-            ("jobs", Json::UInt(jobs)),
-            ("shards", shards),
-            (
-                "window_interval",
-                match &self.windowing {
-                    Some(w) => Json::UInt(w.interval()),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "window_unit",
-                match &self.windowing {
-                    Some(w) => Json::from(w.unit().label()),
-                    None => Json::Null,
-                },
-            ),
-        ])
+        config_json(&self.pipeline, Some(self.execution), self.windowing)
     }
 
     /// Builds a [`RunReport`] for this session's trace and recorded
@@ -380,6 +335,56 @@ impl<'t> Session<'t> {
         }
         Some(report)
     }
+}
+
+/// The `config` echo every `analyze` run report carries, for both
+/// drivers: a [`Session`] over a loaded trace passes its execution and
+/// windowing; a streamed run, which has no session, passes `None` for
+/// both and is echoed as `"execution": "streaming"` on one job, without
+/// the window fields (a streamed run is never windowed).
+pub fn config_json(
+    pipeline: &AnalysisPipeline,
+    execution: Option<Execution>,
+    windowing: Option<WindowConfig>,
+) -> Json {
+    let (mode, jobs, shards) = match execution {
+        None => ("streaming", 1u64, Json::Null),
+        Some(Execution::Serial) => ("serial", 1, Json::Null),
+        Some(Execution::Parallel(c)) => (
+            "parallel",
+            c.jobs.get() as u64,
+            c.shards.map_or(Json::Null, |s| Json::UInt(s.get() as u64)),
+        ),
+    };
+    let mut fields = vec![
+        (
+            "conflict_threshold",
+            Json::UInt(pipeline.conflict.threshold),
+        ),
+        (
+            "working_set_definition",
+            Json::from(format!("{:?}", pipeline.definition)),
+        ),
+        ("taken_threshold", Json::Float(pipeline.taken_threshold)),
+        (
+            "not_taken_threshold",
+            Json::Float(pipeline.not_taken_threshold),
+        ),
+        ("execution", Json::from(mode)),
+        ("jobs", Json::UInt(jobs)),
+        ("shards", shards),
+    ];
+    if execution.is_some() {
+        fields.push((
+            "window_interval",
+            windowing.map_or(Json::Null, |w| Json::UInt(w.interval())),
+        ));
+        fields.push((
+            "window_unit",
+            windowing.map_or(Json::Null, |w| Json::from(w.unit().label())),
+        ));
+    }
+    Json::object(fields)
 }
 
 #[cfg(test)]

@@ -1,20 +1,19 @@
 //! Supervised pipeline execution: retries, deadlines, memory budgets,
 //! and graceful degradation.
 //!
-//! A supervised run walks a **degradation ladder** instead of trusting
-//! one engine:
+//! A supervised run walks a **degradation ladder** of fewer and fewer
+//! shards instead of trusting one schedule:
 //!
 //! 1. **Parallel** (only when the session asked for it) — the sharded
 //!    engine with per-shard fault isolation and retry
 //!    ([`crate::parallel::analyze_parallel_supervised`]).
-//! 2. **Serial** — the reference implementation, whole-run attempts with
-//!    exponential backoff between retries.
-//! 3. **Streaming** — [`crate::StreamingAnalysis`], the last resort and
-//!    the low-memory path.
+//! 2. **Serial** — one shard: the reference implementation, whole-run
+//!    attempts with exponential backoff between retries.
 //!
-//! Every rung produces a bit-identical [`Analysis`] when it succeeds
-//! (the workspace's serial-equivalence guarantees), so downgrading
-//! trades only throughput, never correctness. A rung is abandoned when
+//! Both rungs drive the same [`crate::interleave::Fold`] and the same
+//! pipeline tail, so every rung produces a bit-identical [`Analysis`]
+//! when it succeeds, and downgrading trades only throughput, never
+//! correctness. A rung is abandoned when
 //! its retry budget is spent or it hits a non-retryable fault (a
 //! deadline, a blown memory budget); the walk then drops one rung and
 //! records a [`Downgrade`]. Only when the *last* rung fails does the
@@ -26,13 +25,12 @@
 //! doubles as a cancellation point. Memory budgets are soft: before each
 //! non-final rung the peak RSS is compared against
 //! [`SupervisorConfig::max_rss_bytes`], and a run already over budget
-//! skips straight to the streaming rung.
+//! skips straight to the serial rung, which holds no per-shard state.
 
 use crate::error::Error;
 use crate::parallel::{analyze_parallel_supervised, ParallelConfig, ShardRetryPolicy};
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::session::Execution;
-use crate::StreamingAnalysis;
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor::{catch, Backoff, ResilienceError};
 use bwsa_resilience::watchdog;
@@ -52,7 +50,7 @@ pub struct SupervisorConfig {
     /// watchdog.
     pub max_wall: Option<Duration>,
     /// Soft peak-RSS budget in bytes; a run already over it skips
-    /// straight to the streaming rung. `None` disables the check.
+    /// straight to the serial rung. `None` disables the check.
     pub max_rss_bytes: Option<u64>,
 }
 
@@ -70,9 +68,9 @@ impl Default for SupervisorConfig {
 /// One recorded drop down the degradation ladder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Downgrade {
-    /// The rung that failed ("parallel", "serial").
+    /// The rung that failed ("parallel").
     pub from: &'static str,
-    /// The rung the run fell back to ("serial", "streaming").
+    /// The rung the run fell back to ("serial").
     pub to: &'static str,
     /// The fault that forced the drop, rendered for humans.
     pub reason: String,
@@ -97,7 +95,6 @@ pub struct ResilienceSummary {
 enum Rung {
     Parallel(ParallelConfig),
     Serial,
-    Streaming,
 }
 
 impl Rung {
@@ -105,17 +102,8 @@ impl Rung {
         match self {
             Rung::Parallel(_) => "parallel",
             Rung::Serial => "serial",
-            Rung::Streaming => "streaming",
         }
     }
-}
-
-fn streaming_replay(pipeline: &AnalysisPipeline, trace: &Trace, obs: &Obs) -> Analysis {
-    let mut streaming = StreamingAnalysis::new(&trace.meta().name);
-    for record in trace.records() {
-        streaming.push(record);
-    }
-    streaming.finish_observed(pipeline, obs)
 }
 
 /// Runs the pipeline under supervision, walking the degradation ladder.
@@ -132,8 +120,8 @@ pub(crate) fn run_supervised(
     obs: &Obs,
 ) -> (Result<Analysis, Error>, ResilienceSummary) {
     let rungs: Vec<Rung> = match execution {
-        Execution::Parallel(c) => vec![Rung::Parallel(*c), Rung::Serial, Rung::Streaming],
-        _ => vec![Rung::Serial, Rung::Streaming],
+        Execution::Parallel(c) => vec![Rung::Parallel(*c), Rung::Serial],
+        _ => vec![Rung::Serial],
     };
     let shard_retries = AtomicU64::new(0);
     let policy = ShardRetryPolicy {
@@ -147,8 +135,8 @@ pub(crate) fn run_supervised(
         let last_rung = index + 1 == rungs.len();
 
         // Soft memory budget: when the process is already over it, the
-        // heavier rungs are pointless — jump to the final (streaming)
-        // rung rather than the next one.
+        // heavier rungs are pointless — jump to the final (serial) rung
+        // rather than the next one.
         if !last_rung {
             if let (Some(budget), Some(peak)) =
                 (config.max_rss_bytes, bwsa_obs::rss::peak_rss_bytes())
@@ -163,7 +151,7 @@ pub(crate) fn run_supervised(
                     summary.faults.push(fault.to_string());
                     summary.downgrades.push(Downgrade {
                         from: rung.name(),
-                        to: Rung::Streaming.name(),
+                        to: rungs[rungs.len() - 1].name(),
                         reason: fault.to_string(),
                     });
                     index = rungs.len() - 1;
@@ -173,7 +161,7 @@ pub(crate) fn run_supervised(
         }
 
         // The parallel rung retries at shard granularity inside the
-        // mapper; whole-rung retries apply to the serial rungs.
+        // mapper; whole-rung retries apply to the serial rung.
         let rung_retries = match rung {
             Rung::Parallel(_) => 0,
             _ => config.retries,
@@ -194,7 +182,6 @@ pub(crate) fn run_supervised(
                 })
                 .and_then(|inner| inner),
                 Rung::Serial => catch(|| pipeline.run_observed(trace, obs)),
-                Rung::Streaming => catch(|| streaming_replay(pipeline, trace, obs)),
             };
             summary.retries += shard_retries.swap(0, Ordering::Relaxed);
             match outcome {
@@ -285,32 +272,35 @@ mod tests {
         }
     }
 
+    fn sharded() -> Execution {
+        Execution::Parallel(ParallelConfig {
+            jobs: NonZeroUsize::new(3).unwrap(),
+            shards: NonZeroUsize::new(4),
+        })
+    }
+
     #[test]
-    fn a_serial_only_fault_downgrades_to_streaming_bit_identically() {
+    fn a_shard_only_fault_downgrades_to_serial_bit_identically() {
         let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(400);
         let pipeline = AnalysisPipeline::new();
         let plain = pipeline.run_observed(&trace, &Obs::noop());
-        // core.profile only exists on the serial path; the streaming
-        // rung does not traverse it, so the ladder recovers there.
-        let _fp = failpoint::scoped("core.profile=error(stage blew up)").expect("valid spec");
-        let (result, summary) = run_supervised(
-            &pipeline,
-            &trace,
-            &Execution::Serial,
-            &quick_config(),
-            &Obs::noop(),
-        );
-        assert_eq!(result.expect("streaming rung recovers"), plain);
-        assert_eq!(summary.attempts, 3, "two serial attempts + streaming");
-        assert_eq!(summary.retries, 1);
-        assert_eq!(summary.faults.len(), 2);
+        // core.shard_summarize only exists on the parallel rung; the
+        // serial rung does not traverse it, so the ladder recovers there.
+        let _fp =
+            failpoint::scoped("core.shard_summarize=error(stage blew up)").expect("valid spec");
+        let (result, summary) =
+            run_supervised(&pipeline, &trace, &sharded(), &quick_config(), &Obs::noop());
+        assert_eq!(result.expect("serial rung recovers"), plain);
+        assert_eq!(summary.attempts, 2, "one parallel attempt + serial");
+        assert_eq!(summary.retries, 4, "one retry round for each of 4 shards");
+        assert_eq!(summary.faults.len(), 1);
         assert_eq!(
             summary.downgrades,
             vec![Downgrade {
-                from: "serial",
-                to: "streaming",
-                reason: "injected fault at 'core.profile': stage blew up".into(),
+                from: "parallel",
+                to: "serial",
+                reason: "injected fault at 'core.shard_summarize': stage blew up".into(),
             }]
         );
     }
@@ -320,23 +310,18 @@ mod tests {
         let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(200);
         let pipeline = AnalysisPipeline::new();
-        // conflict_prune runs on every rung: serial, parallel tail, and
-        // the streaming finish. Nothing can succeed.
+        // conflict_prune is in the shared tail, so it runs on every rung.
+        // Nothing can succeed.
         let _fp = failpoint::scoped("core.conflict_prune=error(persistent)").expect("valid spec");
-        let (result, summary) = run_supervised(
-            &pipeline,
-            &trace,
-            &Execution::Serial,
-            &quick_config(),
-            &Obs::noop(),
-        );
+        let (result, summary) =
+            run_supervised(&pipeline, &trace, &sharded(), &quick_config(), &Obs::noop());
         match result {
             Err(Error::Resilience(ResilienceError::Injected { site, .. })) => {
                 assert_eq!(site, "core.conflict_prune")
             }
             other => panic!("expected a typed injected fault, got {other:?}"),
         }
-        assert_eq!(summary.downgrades.len(), 1, "serial -> streaming");
+        assert_eq!(summary.downgrades.len(), 1, "parallel -> serial");
         assert!(summary.attempts >= 3);
     }
 
@@ -346,10 +331,10 @@ mod tests {
         let trace = busy_trace(300);
         let pipeline = AnalysisPipeline::new();
         let plain = pipeline.run_observed(&trace, &Obs::noop());
-        // A 30ms delay at a serial-only site against a 5ms deadline: the
+        // A 30ms delay at a shard-only site against a 5ms deadline: the
         // sliced sleep observes the watchdog and cancels the rung. The
-        // streaming rung never traverses the site and finishes in time.
-        let _fp = failpoint::scoped("core.interleave=delay(30)").expect("valid spec");
+        // serial rung never traverses the site and finishes in time.
+        let _fp = failpoint::scoped("core.shard_detect=delay(30)").expect("valid spec");
         let config = SupervisorConfig {
             retries: 3,
             backoff_base: Duration::from_millis(1),
@@ -357,8 +342,8 @@ mod tests {
             ..SupervisorConfig::default()
         };
         let (result, summary) =
-            run_supervised(&pipeline, &trace, &Execution::Serial, &config, &Obs::noop());
-        assert_eq!(result.expect("streaming rung recovers"), plain);
+            run_supervised(&pipeline, &trace, &sharded(), &config, &Obs::noop());
+        assert_eq!(result.expect("serial rung recovers"), plain);
         assert_eq!(
             summary.attempts, 2,
             "a timeout downgrades immediately, no same-rung retry"
@@ -368,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn an_exhausted_memory_budget_skips_to_the_streaming_rung() {
+    fn an_exhausted_memory_budget_skips_to_the_serial_rung() {
         let _serialised = FAILPOINT_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         let trace = busy_trace(300);
         let pipeline = AnalysisPipeline::new();
@@ -377,16 +362,15 @@ mod tests {
             max_rss_bytes: Some(1), // any real process is over this
             ..quick_config()
         };
-        let execution = Execution::Parallel(ParallelConfig::with_jobs(2));
         let (result, summary) =
-            run_supervised(&pipeline, &trace, &execution, &config, &Obs::noop());
-        assert_eq!(result.expect("streaming still runs"), plain);
-        assert_eq!(summary.attempts, 1, "parallel and serial never attempted");
+            run_supervised(&pipeline, &trace, &sharded(), &config, &Obs::noop());
+        assert_eq!(result.expect("serial still runs"), plain);
+        assert_eq!(summary.attempts, 1, "parallel never attempted");
         assert_eq!(
             summary.downgrades,
             vec![Downgrade {
                 from: "parallel",
-                to: "streaming",
+                to: "serial",
                 reason: summary.faults[0].clone(),
             }]
         );

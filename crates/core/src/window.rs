@@ -12,14 +12,16 @@
 //! (Jaccard similarity vs. the previous window) and a phase-change
 //! signal.
 //!
-//! **Exactness.** Each window is summarised with the PR 2 merge algebra:
-//! the window's records run through [`ShardDelta::of_shard`] seeded with
-//! the [`ShardBoundary`] carry of everything before the window, and the
-//! deltas merge associatively into the cumulative whole-trace state.
-//! Because that algebra is exactly the one the parallel engine uses,
-//! `fold(windows) == whole_trace` *bit-for-bit* — interleave counts,
-//! graph edges, working sets, classification, and the final coloring all
-//! match a from-scratch serial (or sharded) run. The property suite
+//! **Exactness.** Records stream through one [`Fold`] for the whole run;
+//! at each window boundary the flush hook takes the edges and statistics
+//! the window accumulated ([`Fold::take_delta`]) while the engine state —
+//! latest stamps and recency index — carries on untouched. Each window's
+//! delta is therefore exactly the seeded shard delta of the parallel
+//! engine's merge algebra, and the deltas merge associatively into the
+//! cumulative whole-trace state, so `fold(windows) == whole_trace`
+//! *bit-for-bit* — interleave counts, graph edges, working sets,
+//! classification, and the final coloring all match a from-scratch
+//! serial (or sharded) run. The property suite
 //! `crates/core/tests/windowed_equiv.rs` pins this across arbitrary
 //! traces, window sizes, and `--jobs` values.
 //!
@@ -32,9 +34,9 @@
 //! reports a **stability** metric: the fraction of previously assigned
 //! branches that kept their BHT entry.
 
-use crate::conflict::ConflictAnalysis;
 use crate::error::{CoreError, Error};
-use crate::merge::{ShardBoundary, ShardDelta};
+use crate::interleave::Fold;
+use crate::merge::ShardDelta;
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use crate::working_set::{working_sets, WorkingSetReport};
 use bwsa_graph::coloring::{color_graph, ColoringOptions};
@@ -374,14 +376,13 @@ pub struct WindowedAnalysis {
     config: WindowConfig,
     pipeline: AnalysisPipeline,
     obs: Obs,
-    /// Dense node-id space observed so far (max pushed id + 1).
-    nodes: usize,
-    /// Latest stamp per branch over everything before the open window.
-    carry: ShardBoundary,
+    /// The engine: latest stamps over every record pushed, plus the open
+    /// window's own edges and statistics.
+    fold: Fold,
     /// The folded whole-trace state over all flushed windows.
     cumulative: ShardDelta,
-    /// Records of the currently open window.
-    buffer: Vec<(u32, u64, bool)>,
+    /// Timestamps of the open window's first and last records.
+    open: Option<(u64, u64)>,
     /// Exclusive end of the open instruction window (instruction unit
     /// only; saturates at `u64::MAX`).
     window_end: Option<u64>,
@@ -399,10 +400,9 @@ impl WindowedAnalysis {
             config,
             pipeline,
             obs: Obs::noop(),
-            nodes: 0,
-            carry: ShardBoundary::empty(0),
+            fold: Fold::new(0),
             cumulative: ShardDelta::empty(0),
-            buffer: Vec::new(),
+            open: None,
             window_end: None,
             prev_executed: None,
             windows: Vec::new(),
@@ -456,10 +456,11 @@ impl WindowedAnalysis {
                 Some(_) => {}
             }
         }
-        self.nodes = self.nodes.max(id as usize + 1);
-        self.buffer.push((id, time, taken));
+        self.fold.push(id, time, taken);
+        let first_time = self.open.map_or(time, |(first, _)| first);
+        self.open = Some((first_time, time));
         if self.config.unit == WindowUnit::DynamicBranches
-            && self.buffer.len() as u64 >= self.config.interval
+            && self.fold.record_count() >= self.config.interval
         {
             self.flush();
         }
@@ -467,18 +468,13 @@ impl WindowedAnalysis {
 
     /// Flushes the open window (no-op when it holds no records).
     fn flush(&mut self) {
-        if self.buffer.is_empty() {
+        let Some((first_time, last_time)) = self.open else {
             return;
-        }
+        };
         bwsa_resilience::failpoint!(crate::failpoints::WINDOW_FLUSH);
         let _span = self.obs.span("window_flush");
-        let nodes = self.nodes;
-        let delta = ShardDelta::of_shard(nodes, &self.carry, self.buffer.iter().copied());
-        let boundary =
-            ShardBoundary::of_records(nodes, self.buffer.iter().map(|&(id, t, _)| (id, t)));
-        let first_time = self.buffer.first().map_or(0, |r| r.1);
-        let last_time = self.buffer.last().map_or(0, |r| r.1);
-        self.buffer.clear();
+        let delta = self.fold.take_delta();
+        self.open = None;
 
         let executed: Vec<u32> = delta
             .stats
@@ -510,7 +506,6 @@ impl WindowedAnalysis {
 
         bwsa_resilience::failpoint!(crate::failpoints::WINDOW_MERGE);
         self.cumulative.merge(&delta);
-        self.carry.join(&boundary);
 
         bwsa_resilience::failpoint!(crate::failpoints::RECOLOR);
         let (cumulative_kept, recolor) = {
@@ -551,9 +546,10 @@ impl WindowedAnalysis {
     }
 
     /// Flushes the trailing partial window and folds everything into the
-    /// whole-trace [`Analysis`] — bit-identical to a from-scratch run
-    /// over the same records (the associativity of the PR 2 merge
-    /// algebra; pinned by `crates/core/tests/windowed_equiv.rs`).
+    /// whole-trace [`Analysis`] through the shared pipeline tail —
+    /// bit-identical to a from-scratch run over the same records (the
+    /// associativity of the shard merge algebra; pinned by
+    /// `crates/core/tests/windowed_equiv.rs`).
     pub fn finish(mut self) -> WindowedResult {
         self.flush();
         let recolors = self.recolorer.recolors;
@@ -568,28 +564,12 @@ impl WindowedAnalysis {
                 .sum::<f64>()
                 / self.windows.len() as f64
         };
-        let ShardDelta {
-            builder,
-            stats,
-            records,
-        } = self.cumulative;
-        let profile = BranchProfile::from_parts(stats, records);
-        let conflict = ConflictAnalysis::of_raw_graph(builder.build(), self.pipeline.conflict);
-        let working = working_sets(&conflict.graph, &profile, self.pipeline.definition);
-        let classification = crate::classify::classify_with(
-            &profile,
-            self.pipeline.taken_threshold,
-            self.pipeline.not_taken_threshold,
-        );
+        let records = self.cumulative.records;
+        let analysis = self.cumulative.finish(&self.pipeline, &self.obs);
         WindowedResult {
             config: self.config,
             windows: self.windows,
-            analysis: Analysis {
-                profile,
-                conflict,
-                working_sets: working,
-                classification,
-            },
+            analysis,
             assignment,
             recolors,
             mean_stability,

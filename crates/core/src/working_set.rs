@@ -3,7 +3,6 @@
 
 use bwsa_graph::{clique, ConflictGraph};
 use bwsa_trace::{profile::BranchProfile, BranchId};
-use serde::{Deserialize, Serialize};
 
 /// Which reading of "completely interconnected subgraph" to use.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Table 2 counts (51,888 sets for gcc's ~16k static branches) are only
 /// possible if a branch can belong to several sets — i.e. maximal-clique
 /// enumeration. Both are provided; `ablation_working_set` contrasts them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WorkingSetDefinition {
     /// Disjoint cliques via greedy partitioning: every branch in exactly
     /// one set.
@@ -26,7 +25,7 @@ pub enum WorkingSetDefinition {
 }
 
 /// The Table 2 row for one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkingSetReport {
     /// Total number of working sets.
     pub total_sets: usize,
@@ -44,7 +43,7 @@ pub struct WorkingSetReport {
 }
 
 /// Working sets plus their summary report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkingSets {
     /// The sets, each sorted ascending by branch id.
     pub sets: Vec<Vec<BranchId>>,

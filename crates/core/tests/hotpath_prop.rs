@@ -1,8 +1,8 @@
 //! Property tests pinning the flat hot-path engine to its independent
 //! oracle: for arbitrary monotone-timestamp traces — including runs of
 //! equal stamps and stamps pressed against `u64::MAX` — the ring-indexed
-//! [`bwsa_core::interleave_counts`], the record-by-record
-//! [`bwsa_core::StreamingInterleave`], and the linear-scan
+//! [`bwsa_core::interleave_counts`], a record-by-record [`bwsa_core::Fold`]
+//! behind on-the-fly pc interning, and the linear-scan
 //! [`bwsa_core::interleave_counts_naive`] must produce identical edge
 //! sets.
 //!
@@ -10,8 +10,8 @@
 //! strictly-greater rule itself, so agreement here is evidence about the
 //! rule, not about a shared bug.
 
-use bwsa_core::{interleave_counts, interleave_counts_naive, StreamingInterleave};
-use bwsa_trace::{Trace, TraceBuilder};
+use bwsa_core::{interleave_counts, interleave_counts_naive, Fold};
+use bwsa_trace::{BranchTable, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 /// Sorted `(a, b, weight)` edges of a builder — the comparison key.
@@ -55,13 +55,13 @@ proptest! {
         let naive = interleave_counts_naive(&trace);
         prop_assert_eq!(sorted_edges(&fast), sorted_edges(&naive));
 
-        let mut streaming = StreamingInterleave::new();
+        let mut table = BranchTable::new();
+        let mut streaming = Fold::new(0);
         for rec in trace.records() {
-            streaming.push(rec);
+            streaming.push(table.intern(rec.pc).as_u32(), rec.time.get(), rec.is_taken());
         }
-        let (builder, table) = streaming.finish();
         prop_assert_eq!(table.len(), trace.static_branch_count());
-        prop_assert_eq!(sorted_edges(&builder), sorted_edges(&naive));
+        prop_assert_eq!(streaming.into_delta().into_graph(), naive.build());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    dropped and counted, not fatal.
 //! 2. **Analysis** runs under the session supervisor (configurable via
 //!    [`CorpusSession::with_supervisor`]), inheriting the
-//!    parallel→serial→streaming ladder.
+//!    parallel→serial ladder.
 //! 3. The whole entry is wrapped in [`supervisor::catch`]: even a
 //!    panic is contained to a `failed` row in the summary.
 

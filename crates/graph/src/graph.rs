@@ -1,6 +1,5 @@
 //! Immutable CSR conflict graph.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -25,7 +24,7 @@ use std::fmt;
 /// assert_eq!(g.weighted_degree(0), 10);
 /// assert_eq!(g.neighbors(1), &[0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictGraph {
     /// `offsets[n]..offsets[n+1]` is node n's slice of `neighbors`/`weights`.
     offsets: Vec<usize>,

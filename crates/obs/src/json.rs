@@ -1,10 +1,10 @@
 //! Minimal JSON document model, encoder, and parser.
 //!
-//! The workspace builds hermetically — `serde` resolves to a no-op stub
-//! and there is no `serde_json` — so the [`crate::RunReport`] wire format
-//! is produced and validated by this hand-rolled implementation. Object
-//! key order is preserved (insertion order), which keeps emitted reports
-//! byte-stable for golden tests.
+//! The workspace builds hermetically, with no `serde` or `serde_json`,
+//! so the [`crate::RunReport`] wire format is produced and validated by
+//! this hand-rolled implementation. Object key order is preserved
+//! (insertion order), which keeps emitted reports byte-stable for golden
+//! tests.
 //!
 //! ```
 //! use bwsa_obs::json::Json;

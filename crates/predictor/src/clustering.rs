@@ -10,7 +10,6 @@
 
 use crate::BranchPredictor;
 use bwsa_trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Simulates a predictor and returns one flag per dynamic branch:
 /// `true` where the prediction was wrong.
@@ -29,7 +28,7 @@ pub fn misprediction_flags<P: BranchPredictor + ?Sized>(
 }
 
 /// Burstiness statistics of a misprediction flag stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusteringStats {
     /// Dynamic branches observed.
     pub total: usize,

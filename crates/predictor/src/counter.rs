@@ -1,7 +1,6 @@
 //! Saturating up/down counters — the basic prediction state element.
 
 use bwsa_trace::Direction;
-use serde::{Deserialize, Serialize};
 
 /// An n-bit saturating counter (n in `1..=8`).
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// c.update(Direction::NotTaken);
 /// assert!(c.predict().is_taken(), "hysteresis survives one miss");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SaturatingCounter {
     value: u8,
     max: u8,

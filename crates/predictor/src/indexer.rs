@@ -10,7 +10,6 @@
 
 use crate::PredictorError;
 use bwsa_trace::{BranchId, Pc};
-use serde::{Deserialize, Serialize};
 
 /// A compiler-produced static branch → BHT entry assignment.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// Branches outside the map (e.g. filtered-out cold branches) fall back to
 /// conventional pc-modulo indexing, mirroring the paper's note that
 /// un-annotated branches (library code) keep the old scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocatedIndex {
     table_size: usize,
     entries: Vec<Option<u32>>,
@@ -80,7 +79,7 @@ impl AllocatedIndex {
 }
 
 /// How a branch chooses its first-level-table entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BhtIndexer {
     /// Conventional hashing: `(pc >> 2) mod size`.
     PcModulo {

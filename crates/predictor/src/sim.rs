@@ -3,11 +3,10 @@
 use crate::{checkpoint, BranchPredictor, Checkpointable, PredictorError};
 use bwsa_trace::codec::{self, Cursor};
 use bwsa_trace::{BranchId, Trace};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregate result of simulating one predictor over one trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimResult {
     /// Predictor label.
     pub predictor: String,
@@ -50,7 +49,7 @@ impl fmt::Display for SimResult {
 }
 
 /// [`SimResult`] plus per-static-branch misprediction counts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetailedSimResult {
     /// The aggregate result.
     pub summary: SimResult,
@@ -79,7 +78,7 @@ impl DetailedSimResult {
 ///
 /// The model charges one cycle per `issue_width` instructions plus a
 /// fixed `mispredict_penalty` flush per mispredicted branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineModel {
     /// Instructions issued per cycle when not stalled.
     pub issue_width: u32,

@@ -5,7 +5,7 @@
 //! independent trace-driven simulations — each cell pairs one predictor
 //! configuration with one workload trace. The cells share nothing, so
 //! they parallelise trivially; what needs care is keeping the *output*
-//! independent of scheduling. [`sweep`] pulls cells from a shared queue
+//! independent of scheduling. [`sweep`] claims cells through a shared work index
 //! (so slow cells don't serialise behind a fixed partition), tags every
 //! result with its input index, and sorts before returning — the returned
 //! `Vec` is always in cell order, and a failing sweep always reports the
@@ -24,7 +24,7 @@ use crate::predictor::BranchPredictor;
 use crate::sim::{simulate, simulate_resumable, SimCheckpoint, SimResult};
 use bwsa_obs::Obs;
 use bwsa_trace::Trace;
-use crossbeam::queue::SegQueue;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One deferred cell of a simulation sweep.
@@ -106,7 +106,7 @@ impl<'a> SweepCell<'a> {
 /// Runs every cell on `jobs` worker threads, returning results in cell
 /// order.
 ///
-/// Workers pull cells from a shared queue, so an expensive cell never
+/// Workers claim cells through a shared work index, so an expensive cell never
 /// strands the rest behind it. Scheduling cannot leak into the output:
 /// results come back ordered by input index, and if any cells fail the
 /// error returned is always the one with the lowest index.
@@ -160,21 +160,32 @@ pub fn sweep_observed(
             .map(|(i, cell)| (i, execute_observed(cell)))
             .collect()
     } else {
-        let queue: SegQueue<(usize, SweepCell<'_>)> = cells.into_iter().enumerate().collect();
-        let collected = Mutex::new(Vec::new());
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| {
-                    let mut local = Vec::new();
-                    while let Some((i, cell)) = queue.pop() {
-                        local.push((i, execute_observed(cell)));
-                    }
-                    collected.lock().expect("results poisoned").extend(local);
-                });
-            }
+        // Workers claim cells through a shared index, so slow cells
+        // never serialise behind a fixed partition.
+        let slots: Vec<Mutex<Option<SweepCell<'_>>>> =
+            cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(slot) = slots.get(i) else { break };
+                            let cell = slot.lock().expect("cell poisoned").take();
+                            let cell = cell.expect("every cell is claimed once");
+                            local.push((i, execute_observed(cell)));
+                        }
+                        local
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep worker panicked"))
+                .collect()
         })
-        .expect("sweep worker panicked");
-        collected.into_inner().expect("results poisoned")
     };
     let mut outcomes = outcomes;
     outcomes.sort_unstable_by_key(|&(i, _)| i);

@@ -3,7 +3,6 @@
 
 use crate::{HistoryRegister, PredictorError, SaturatingCounter};
 use bwsa_trace::Direction;
-use serde::{Deserialize, Serialize};
 
 /// First-level table: one [`HistoryRegister`] per entry.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// "per-branch" indexer makes the table grow on demand, modelling the
 /// paper's interference-free 2M-entry BHT without allocating two million
 /// registers up front.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchHistoryTable {
     entries: Vec<HistoryRegister>,
     width: u32,
@@ -144,7 +143,7 @@ impl BranchHistoryTable {
 
 /// Second-level table: saturating counters indexed by a pattern (history
 /// value or hashed pc/history).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternHistoryTable {
     counters: Vec<SaturatingCounter>,
     /// `size - 1` when `size` is a power of two (the common `2^history`

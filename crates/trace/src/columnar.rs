@@ -488,8 +488,10 @@ impl<'a> ColumnarFile<'a> {
     ///
     /// With a valid footer, salvage skips corrupt blocks (the directory
     /// survives in the footer); without one, salvage keeps the valid
-    /// block prefix. Strict requires an intact footer and fails on the
-    /// first inconsistency.
+    /// block prefix. Either way a salvaged trace interns only the
+    /// branches its recovered records execute, in first-appearance
+    /// order. Strict requires an intact footer and fails on the first
+    /// inconsistency.
     ///
     /// # Errors
     ///
@@ -536,7 +538,19 @@ impl<'a> ColumnarFile<'a> {
                 }
             }
         }
-        let table = BranchTable::from_pcs(decoder.directory().iter().map(|&pc| Pc::new(pc)))?;
+        let table = if report.chunks_dropped == 0 {
+            BranchTable::from_pcs(decoder.directory().iter().map(|&pc| Pc::new(pc)))?
+        } else {
+            // A dropped block takes its branches' only executions with
+            // it, so the directory would list branches the recovered
+            // trace never ran: intern the recovered records' pcs in
+            // first-appearance order instead, as the block stream does.
+            let mut table = BranchTable::new();
+            for (id, record) in ids.iter_mut().zip(&records) {
+                *id = table.intern(record.pc);
+            }
+            table
+        };
         let total_instructions = match &self.footer {
             Some(f) => {
                 if policy == RecoveryPolicy::Strict && report.records_recovered != f.record_count {

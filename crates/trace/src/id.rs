@@ -1,6 +1,5 @@
 //! Newtype identifiers used throughout the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense identifier of a *static* conditional branch instruction.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(id.index(), 7);
 /// assert_eq!(format!("{id}"), "b7");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BranchId(u32);
 
 impl BranchId {
@@ -72,7 +71,7 @@ impl From<BranchId> for u32 {
 /// assert_eq!(pc.word_index(), 0x0010_0004);
 /// assert_eq!(format!("{pc}"), "0x400010");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pc(u64);
 
 impl Pc {
@@ -141,9 +140,7 @@ impl From<Pc> for u64 {
 /// assert!(t > InstrCount::new(5));
 /// assert_eq!(t.get(), 20);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct InstrCount(u64);
 
 impl InstrCount {

@@ -7,10 +7,9 @@
 //! rates distribute across branches (what classification can harvest).
 
 use crate::{BranchId, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Distribution summary of a set of `u64` samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistSummary {
     /// Number of samples.
     pub count: u64,
@@ -47,7 +46,7 @@ impl DistSummary {
 }
 
 /// Whole-trace statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Dynamic conditional branches per instruction (0 when the total
     /// instruction count is unknown).

@@ -1,7 +1,6 @@
 //! In-memory branch traces and their construction.
 
 use crate::{BranchId, BranchRecord, Direction, InstrCount, Pc, TraceError};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(table.intern(Pc::new(0x400)), a);
 /// assert_eq!(table.pc_of(a), Pc::new(0x400));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BranchTable {
     by_pc: HashMap<Pc, BranchId>,
     pcs: Vec<Pc>,
@@ -106,7 +105,7 @@ impl BranchTable {
 }
 
 /// Summary metadata describing how a trace was produced.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceMeta {
     /// Human-readable name (benchmark / input-set label).
     pub name: String,
@@ -138,7 +137,7 @@ pub struct TraceMeta {
 /// let (id0, rec0) = t.indexed_records().next().unwrap();
 /// assert_eq!(t.table().pc_of(id0), rec0.pc);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     meta: TraceMeta,
     records: Vec<BranchRecord>,

@@ -10,8 +10,15 @@
 //!   decoder: salvage returns a block-aligned subsequence of what was
 //!   written, strict returns a typed error or the intact whole;
 //! * truncation at any point never panics: salvage keeps a valid prefix
-//!   of whole blocks, strict always reports the torn footer.
+//!   of whole blocks, strict always reports the torn footer;
+//! * salvaging a file whose first block is damaged but whose footer is
+//!   intact gives one answer on every ingest path — the block stream,
+//!   the whole-file decode, and the parallel decode — with only the
+//!   recovered records' branches interned.
 
+use bwsa_core::columnar::{analyze_columnar_stream, decode_columnar};
+use bwsa_core::AnalysisPipeline;
+use bwsa_obs::Obs;
 use bwsa_trace::columnar::{read_columnar, write_columnar, ColumnarWriter};
 use bwsa_trace::stream::{RecoveryPolicy, StreamReader, StreamWriter};
 use bwsa_trace::{BranchRecord, Trace, TraceBuilder};
@@ -151,5 +158,43 @@ proptest! {
             prop_assert_eq!(back.records(), &trace.records()[..n]);
             prop_assert!(n == trace.len() || n % BLOCK == 0);
         }
+    }
+
+    #[test]
+    fn salvaging_a_lost_first_block_agrees_across_ingest_paths(
+        trace in arb_trace(),
+        offset in 0usize..64,
+        mask in 1u8..=255,
+    ) {
+        if trace.len() <= BLOCK {
+            return Ok(()); // a one-block file has nothing left to agree on
+        }
+        let mut damaged = encode_columnar(&trace);
+        // Block 0's payload starts after the file header (magic, version,
+        // name) and the 36-byte block header; flipping any payload byte
+        // breaks the block CRC and leaves the footer intact.
+        let payload = 4 + 2 + 4 + trace.meta().name.len() + 36;
+        let payload_len = damaged[payload..].len().min(BLOCK * 2);
+        damaged[payload + offset % payload_len] ^= mask;
+
+        let (decoded, report) = read_columnar(&damaged, RecoveryPolicy::Salvage).unwrap();
+        prop_assert_eq!(report.chunks_dropped, 1);
+        prop_assert_eq!(decoded.records(), &trace.records()[BLOCK..]);
+        let mut expected = TraceBuilder::new(trace.meta().name.clone());
+        for r in &trace.records()[BLOCK..] {
+            expected.record(r.pc.addr(), r.is_taken(), r.time.get());
+        }
+        let expected = expected.finish();
+        prop_assert_eq!(decoded.table(), expected.table());
+
+        let (parallel, _) = decode_columnar(&damaged, RecoveryPolicy::Salvage, 2).unwrap();
+        prop_assert_eq!(&parallel, &decoded);
+
+        let pipeline = AnalysisPipeline::new();
+        let (streamed, _) =
+            analyze_columnar_stream(&pipeline, &damaged, RecoveryPolicy::Salvage, &Obs::noop())
+                .unwrap();
+        prop_assert_eq!(&streamed, &pipeline.run_observed(&decoded, &Obs::noop()));
+        prop_assert_eq!(streamed.profile.static_count(), expected.static_branch_count());
     }
 }

@@ -19,10 +19,9 @@ use crate::WorkloadError;
 use bwsa_trace::Direction;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Direction model of one static conditional branch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BranchBehavior {
     /// Taken independently with probability `taken_prob`.
     Bernoulli {

@@ -25,6 +25,18 @@ cargo test -q --test parallel_prop -p bwsa-core
 cargo test -q --test golden_regression
 cargo test -q --test cli_jobs
 
+echo "==> one analyze answer across every format x mode arm (and under salvage)"
+cargo test -q --test cli_analyze_arms
+
+echo "==> crate property suites the shared fold and tail rest on"
+# Integration targets only: the crates' --lib suites stay out until the
+# failpoint registry is scoped per test (ROADMAP item 5) — concurrent
+# lib tests arming process-global failpoints and watchdogs flake today.
+cargo test -q --test prop -p bwsa-core
+cargo test -q --test prop -p bwsa-trace
+cargo test -q --test fault_prop -p bwsa-trace
+cargo test -q --test prop -p bwsa-predictor
+
 echo "==> hot-path engine equivalence (ring vs naive oracle, flat table vs HashMap)"
 cargo test -q --test hotpath_prop -p bwsa-core
 cargo test -q --test prop -p bwsa-graph

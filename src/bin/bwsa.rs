@@ -87,6 +87,7 @@
 
 use bwsa::core::conflict::ConflictConfig;
 use bwsa::core::pipeline::{Analysis, AnalysisPipeline};
+use bwsa::core::session::config_json;
 use bwsa::core::{
     Classified, Execution, ParallelConfig, Session, StreamingAnalysis, SupervisorConfig,
     WindowConfig,
@@ -110,7 +111,7 @@ use bwsa::trace::mmap::TraceBytes;
 use bwsa::trace::stream::{
     RecoveryPolicy, SalvageReport, StreamReader, StreamWriter, DEFAULT_CHUNK_RECORDS,
 };
-use bwsa::trace::{io as trace_io, stats::trace_stats, Trace};
+use bwsa::trace::{io as trace_io, Trace};
 use bwsa::workload::suite::{Benchmark, InputSet};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -247,8 +248,8 @@ trace, so they reject --checkpoint/--resume.
 --retries/--max-seconds/--max-rss-mb run the analysis under supervision:
 failed workers are isolated and retried N times with backoff, a run over
 the wall-clock deadline is cancelled cooperatively, and a run over the
-memory budget drops to the low-memory engine. A supervised run degrades
-gracefully (parallel -> serial -> streaming, recorded in the run report)
+memory budget drops to the serial engine. A supervised run degrades
+gracefully (parallel -> serial, recorded in the run report)
 and its result is bit-identical to an unsupervised run whenever any
 engine succeeds. Checkpoints rotate the previous good file to FILE.prev,
 and --resume falls back to it when FILE is corrupt.
@@ -848,6 +849,13 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `bwsa analyze` — the one driver for every trace format and mode.
+///
+/// A trace is either *streamed* (BWSS and BWSS3 by default: constant
+/// memory, checkpointable for BWSS) or *loaded* into a [`Session`] (BWST
+/// always; BWSS and BWSS3 when --jobs asks for workers or --window for
+/// per-window summaries, both of which need the whole trace). Either way
+/// the result goes through the same printout and run report.
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let p = parse(
         args,
@@ -892,91 +900,74 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             "--window runs the trace in memory and cannot combine with --checkpoint/--resume",
         ));
     }
-    match detect_format(path)? {
-        TraceFormat::Bwst => {
-            if wants_checkpointing {
-                return Err(usage_err(
-                    "--checkpoint/--resume need a BWSS stream trace (see `bwsa generate --format bwss`)",
-                ));
-            }
-            let (trace, _) = load_trace(path, RecoveryPolicy::Strict, &obs)?;
-            analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs)?;
-        }
-        // A BWSS stream stays on the constant-memory sequential path
-        // unless --jobs explicitly asks for workers or --window asks for
-        // per-window summaries, both of which materialise the trace.
-        TraceFormat::Bwss
-            if !wants_checkpointing && (jobs.is_some_and(|j| j > 1) || windowing.is_some()) =>
-        {
-            let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
-            warn_salvage(path, &report);
-            analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs)?;
-        }
-        TraceFormat::Bwss => {
-            // Streaming is already the bottom of the degradation ladder;
-            // supervision here means only the cooperative deadline (each
-            // record decode is a cancellation point).
-            let _watchdog = supervisor
-                .and_then(|c| c.max_wall)
-                .map(|wall| watchdog::arm(Instant::now() + wall));
-            analyze_stream(path, &p, &pipeline, &spec, &obs)?
-        }
+    let format = detect_format(path)?;
+    match format {
+        TraceFormat::Bwst if wants_checkpointing => return Err(usage_err(
+            "--checkpoint/--resume need a BWSS stream trace (see `bwsa generate --format bwss`)",
+        )),
         TraceFormat::Bwss3 if wants_checkpointing => {
             return Err(usage_err(
                 "--checkpoint/--resume need a BWSS stream trace; BWSS3 ingest \
                  is fast enough to restart (see `bwsa convert`)",
-            ));
+            ))
         }
-        // Windowed or explicitly parallel runs materialise the trace via
-        // the block-parallel decoder; otherwise blocks stream straight
-        // into the flat engines with no per-record materialisation.
-        TraceFormat::Bwss3 if jobs.is_some_and(|j| j > 1) || windowing.is_some() => {
-            let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
-            warn_salvage(path, &report);
-            analyze_in_memory(&trace, &pipeline, jobs, supervisor, &windowing, &spec, &obs)?;
-        }
-        TraceFormat::Bwss3 => {
-            let _watchdog = supervisor
-                .and_then(|c| c.max_wall)
-                .map(|wall| watchdog::arm(Instant::now() + wall));
-            analyze_columnar(path, &p, &pipeline, &spec, &obs)?
-        }
+        _ => {}
     }
-    Ok(())
-}
+    let streamed =
+        format != TraceFormat::Bwst && !(jobs.is_some_and(|j| j > 1) || windowing.is_some());
+    // A streamed run has no fewer-shard rung to fall back to; supervision
+    // there means only the cooperative deadline, observed at every
+    // failpoint site (each BWSS record decode, each pipeline stage).
+    let _watchdog = supervisor
+        .and_then(|c| c.max_wall)
+        .filter(|_| streamed)
+        .map(|wall| watchdog::arm(Instant::now() + wall));
+    let loaded = if streamed {
+        None
+    } else {
+        let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
+        warn_salvage(path, &report);
+        Some(trace)
+    };
+    let session = loaded.as_ref().map(|trace| {
+        let mut session = Session::new(trace)
+            .with_pipeline(pipeline)
+            .with_execution(Execution::Parallel(parallel_config(jobs)))
+            .with_observer(obs.clone());
+        if let Some(config) = supervisor {
+            session = session.with_supervisor(config);
+        }
+        if let Some((config, _)) = &windowing {
+            session = session.with_windowing(*config);
+        }
+        session
+    });
+    let streamed_analysis;
+    let (name, instructions, analysis) = match &session {
+        Some(session) => {
+            let meta = session.trace().meta();
+            let analysis = session.run().map_err(|e| runtime_err(e.to_string()))?;
+            (meta.name.clone(), Some(meta.total_instructions), analysis)
+        }
+        None => {
+            let (name, instructions, analysis) = match format {
+                TraceFormat::Bwss => stream_bwss(path, &p, &pipeline, &obs)?,
+                _ => stream_bws3(path, &p, &pipeline, &obs)?,
+            };
+            streamed_analysis = analysis;
+            (name, instructions, &streamed_analysis)
+        }
+    };
 
-/// Streaming analysis of a BWSS3 columnar trace: blocks decode into a
-/// reusable scratch and feed the streaming engine record-by-record, so
-/// memory stays constant in the trace length and the file bytes come
-/// straight off the memory map.
-fn analyze_columnar(
-    path: &str,
-    p: &Parsed,
-    pipeline: &AnalysisPipeline,
-    spec: &ReportSpec,
-    obs: &Obs,
-) -> Result<(), CliError> {
-    let bytes = TraceBytes::open(path.as_ref())
-        .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-    let file =
-        ColumnarFile::parse(&bytes).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-    let trace_name = file.name().to_owned();
-    let instructions = file.footer().map(|f| f.total_instructions);
-    let (result, report) =
-        bwsa::core::columnar::analyze_columnar_stream(pipeline, &bytes, recovery_policy(p), obs)
-            .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-    warn_salvage(path, &report);
-    let n = report.records_recovered;
-    let static_count = result.profile.iter().count();
+    let profile = &analysis.profile;
+    let n = profile.total_dynamic();
+    let static_count = profile.static_count() as u64;
     if !spec.json_only() {
         println!(
-            "trace '{}': {} dynamic branches over {} static sites, {} instructions",
-            trace_name,
-            n,
-            static_count,
+            "trace '{name}': {n} dynamic branches over {static_count} static sites, {} instructions",
             instructions.map_or_else(|| "unknown".to_owned(), |t| t.to_string())
         );
-        let taken: u64 = result.profile.iter().map(|(_, s)| s.taken).sum();
+        let taken: u64 = profile.iter().map(|(_, s)| s.taken).sum();
         let density = match instructions {
             Some(t) if t > 0 => n as f64 / t as f64,
             _ => 0.0,
@@ -987,18 +978,37 @@ fn analyze_columnar(
             density,
             taken_rate * 100.0
         );
-        print_analysis(&result, pipeline);
+        print_analysis(analysis, &pipeline);
     }
-    if let Some(metrics) = obs.snapshot() {
-        let mut report = RunReport::new(
-            "analyze",
-            trace_name,
-            n,
-            static_count as u64,
-            stream_config_json(pipeline),
-            &metrics,
-        );
-        push_analysis_digests(&mut report, &result);
+    if let (Some(session), Some((config, emit))) = (&session, &windowing) {
+        // Computed before run_report so the report's v3 `windows`
+        // section reflects this run.
+        let windowed = session.windowed().map_err(|e| runtime_err(e.to_string()))?;
+        if !spec.json_only() {
+            println!(
+                "windows: {} x {} {} | {} recolors | mean stability {:.3} | {} phase changes",
+                windowed.windows.len(),
+                config.interval(),
+                config.unit().label(),
+                windowed.recolors,
+                windowed.mean_stability,
+                windowed.phase_changes
+            );
+        }
+        if let Some(path) = emit {
+            std::fs::write(path, windowed.to_json().to_pretty_string())
+                .map_err(|e| runtime_err(format!("cannot write {path}: {e}")))?;
+        }
+    }
+    let report = match &session {
+        Some(session) => session.run_report("analyze"),
+        None => obs.snapshot().map(|metrics| {
+            let config = config_json(&pipeline, None, None);
+            RunReport::new("analyze", name, n, static_count, config, &metrics)
+        }),
+    };
+    if let Some(mut report) = report {
+        push_analysis_digests(&mut report, analysis);
         spec.emit(&report)?;
     }
     Ok(())
@@ -1020,98 +1030,16 @@ fn window_spec(p: &Parsed) -> Result<Option<(WindowConfig, Option<String>)>, Cli
     }
 }
 
-/// The in-memory `analyze` path: a [`Session`] over the sharded parallel
-/// pipeline (bit-identical to serial for any worker count) plus the
-/// report printout.
-fn analyze_in_memory(
-    trace: &Trace,
-    pipeline: &AnalysisPipeline,
-    jobs: Option<usize>,
-    supervisor: Option<SupervisorConfig>,
-    windowing: &Option<(WindowConfig, Option<String>)>,
-    spec: &ReportSpec,
-    obs: &Obs,
-) -> Result<(), CliError> {
-    let mut session = Session::new(trace)
-        .with_pipeline(*pipeline)
-        .with_execution(Execution::Parallel(parallel_config(jobs)))
-        .with_observer(obs.clone());
-    if let Some(config) = supervisor {
-        session = session.with_supervisor(config);
-    }
-    if let Some((config, _)) = windowing {
-        session = session.with_windowing(*config);
-    }
-    let analysis = session.run().map_err(|e| runtime_err(e.to_string()))?;
-    if !spec.json_only() {
-        println!("{trace}");
-        let s = trace_stats(trace);
-        println!(
-            "density {:.3} branches/instr, dynamic taken rate {:.1}%",
-            s.branch_density,
-            s.dynamic_taken_rate * 100.0
-        );
-        print_analysis(analysis, pipeline);
-    }
-    if let Some((config, emit)) = windowing {
-        // Computed before run_report so the report's v3 `windows`
-        // section reflects this run.
-        let windowed = session.windowed().map_err(|e| runtime_err(e.to_string()))?;
-        if !spec.json_only() {
-            println!(
-                "windows: {} x {} {} | {} recolors | mean stability {:.3} | {} phase changes",
-                windowed.windows.len(),
-                config.interval(),
-                config.unit().label(),
-                windowed.recolors,
-                windowed.mean_stability,
-                windowed.phase_changes
-            );
-        }
-        if let Some(path) = emit {
-            std::fs::write(path, windowed.to_json().to_pretty_string())
-                .map_err(|e| runtime_err(format!("cannot write {path}: {e}")))?;
-        }
-    }
-    if let Some(mut report) = session.run_report("analyze") {
-        push_analysis_digests(&mut report, analysis);
-        spec.emit(&report)?;
-    }
-    Ok(())
-}
-
-/// The configuration echo for the streaming `analyze` path, which has no
-/// [`Session`] to build one (the trace is never materialised).
-fn stream_config_json(pipeline: &AnalysisPipeline) -> Json {
-    Json::object([
-        (
-            "conflict_threshold",
-            Json::UInt(pipeline.conflict.threshold),
-        ),
-        (
-            "working_set_definition",
-            Json::from(format!("{:?}", pipeline.definition)),
-        ),
-        ("taken_threshold", Json::Float(pipeline.taken_threshold)),
-        (
-            "not_taken_threshold",
-            Json::Float(pipeline.not_taken_threshold),
-        ),
-        ("execution", Json::from("streaming")),
-        ("jobs", Json::UInt(1)),
-        ("shards", Json::Null),
-    ])
-}
-
-/// Streaming analysis of a BWSS trace: constant memory in the trace
-/// length, with optional salvage and checkpoint/resume.
-fn analyze_stream(
+/// Streams a BWSS trace record by record through a [`StreamingAnalysis`]:
+/// constant memory in the trace length, with optional salvage and
+/// checkpoint/resume. Returns the trace name, its instruction count when
+/// the stream trailer survived, and the analysis.
+fn stream_bwss(
     path: &str,
     p: &Parsed,
     pipeline: &AnalysisPipeline,
-    spec: &ReportSpec,
     obs: &Obs,
-) -> Result<(), CliError> {
+) -> Result<(String, Option<u64>, Analysis), CliError> {
     let file = File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
     let mut reader = StreamReader::with_recovery(BufReader::new(file), recovery_policy(p))
         .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?
@@ -1160,52 +1088,34 @@ fn analyze_stream(
         )));
     }
     warn_salvage(path, reader.salvage_report());
-
-    let n = analysis.records_consumed();
-    let static_count = analysis.static_branch_count();
+    let name = reader.name().to_owned();
     let instructions = reader.total_instructions();
-    if !spec.json_only() {
-        println!(
-            "trace '{}': {} dynamic branches over {} static sites, {} instructions",
-            reader.name(),
-            n,
-            static_count,
-            instructions.map_or_else(|| "unknown".to_owned(), |t| t.to_string())
-        );
-    }
-    let trace_name = reader.name().to_owned();
-    let result = analysis.finish_observed(pipeline, obs);
-    if !spec.json_only() {
-        let taken: u64 = result.profile.iter().map(|(_, s)| s.taken).sum();
-        let density = match instructions {
-            Some(t) if t > 0 => n as f64 / t as f64,
-            _ => 0.0,
-        };
-        let taken_rate = if n > 0 { taken as f64 / n as f64 } else { 0.0 };
-        println!(
-            "density {:.3} branches/instr, dynamic taken rate {:.1}%",
-            density,
-            taken_rate * 100.0
-        );
-        print_analysis(&result, pipeline);
-    }
-    if let Some(metrics) = obs.snapshot() {
-        let mut report = RunReport::new(
-            "analyze",
-            trace_name,
-            n,
-            static_count as u64,
-            stream_config_json(pipeline),
-            &metrics,
-        );
-        push_analysis_digests(&mut report, &result);
-        spec.emit(&report)?;
-    }
-    Ok(())
+    Ok((name, instructions, analysis.finish_observed(pipeline, obs)))
 }
 
-/// The common tail of `analyze` output, shared by the in-memory and
-/// streaming paths.
+/// Streams a BWSS3 trace block by block straight off the memory map:
+/// each block decodes into reusable scratch and feeds the analysis fold,
+/// so memory stays constant in the trace length.
+fn stream_bws3(
+    path: &str,
+    p: &Parsed,
+    pipeline: &AnalysisPipeline,
+    obs: &Obs,
+) -> Result<(String, Option<u64>, Analysis), CliError> {
+    let bytes = TraceBytes::open(path.as_ref())
+        .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
+    let file =
+        ColumnarFile::parse(&bytes).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
+    let name = file.name().to_owned();
+    let instructions = file.footer().map(|f| f.total_instructions);
+    let (analysis, report) =
+        bwsa::core::columnar::analyze_columnar_stream(pipeline, &bytes, recovery_policy(p), obs)
+            .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
+    warn_salvage(path, &report);
+    Ok((name, instructions, analysis))
+}
+
+/// The analysis lines of the `analyze` printout.
 fn print_analysis(analysis: &bwsa::core::Analysis, pipeline: &AnalysisPipeline) {
     let r = &analysis.working_sets.report;
     println!(

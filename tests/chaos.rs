@@ -494,11 +494,14 @@ fn degraded_runs_record_downgrades_and_retries_in_the_run_report() {
     let plain = Session::new(&trace);
     let baseline = plain.run().unwrap();
 
-    // A fault that only exists on the serial path: the supervised serial
-    // session must degrade to streaming replay and still match.
-    let _guard = failpoint::scoped("core.profile=error(stage exploded)").unwrap();
+    // A fault that only exists on the sharded path: the supervised
+    // parallel session must degrade to the serial rung and still match.
+    let _guard = failpoint::scoped("core.shard_summarize=error(stage exploded)").unwrap();
     let session = Session::new(&trace)
-        .with_execution(Execution::Serial)
+        .with_execution(Execution::Parallel(ParallelConfig {
+            jobs: NonZeroUsize::new(2).unwrap(),
+            shards: NonZeroUsize::new(5),
+        }))
         .with_supervisor(SupervisorConfig {
             backoff_base: Duration::from_millis(1),
             ..SupervisorConfig::default()
@@ -512,7 +515,7 @@ fn degraded_runs_record_downgrades_and_retries_in_the_run_report() {
         summary
             .downgrades
             .iter()
-            .any(|d| d.reason.contains("core.profile")),
+            .any(|d| d.reason.contains("core.shard_summarize")),
         "downgrade reason must name the fault: {summary:?}"
     );
     assert!(!summary.faults.is_empty());
@@ -532,7 +535,7 @@ fn degraded_runs_record_downgrades_and_retries_in_the_run_report() {
             assert!(downgrades.iter().any(|d| {
                 d.get("reason")
                     .and_then(Json::as_str)
-                    .is_some_and(|r| r.contains("core.profile"))
+                    .is_some_and(|r| r.contains("core.shard_summarize"))
             }));
         }
         other => panic!("downgrades missing: {other:?}"),
@@ -547,12 +550,15 @@ fn a_stalled_stage_is_cut_short_by_the_deadline() {
     let plain = Session::new(&trace);
     let baseline = plain.run().unwrap();
 
-    // Stall a serial-only stage far beyond the budget; every other rung
+    // Stall a shard-only stage far beyond the budget; the serial rung
     // is fault-free, so the run still completes — without waiting out
     // the stall on retry after retry.
-    let _guard = failpoint::scoped("core.interleave=delay(40)").unwrap();
+    let _guard = failpoint::scoped("core.shard_detect=delay(40)").unwrap();
     let session = Session::new(&trace)
-        .with_execution(Execution::Serial)
+        .with_execution(Execution::Parallel(ParallelConfig {
+            jobs: NonZeroUsize::new(2).unwrap(),
+            shards: NonZeroUsize::new(5),
+        }))
         .with_supervisor(SupervisorConfig {
             backoff_base: Duration::from_millis(1),
             max_wall: Some(Duration::from_millis(10)),
