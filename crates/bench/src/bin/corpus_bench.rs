@@ -11,12 +11,13 @@
 //!
 //! Five phases over the same generated corpus:
 //!
-//! * **ingest** — cold decode-only throughput per format: every `BWSS2`
-//!   file through the stream reader vs every `BWSS3` file through the
-//!   mmap'd columnar decoder (and once more fully buffered, isolating
-//!   the mmap-vs-`read(2)` delta). Asserts the `BWSS3` mmap path
-//!   ingests at least 3x the `BWSS2` records/sec — the format's reason
-//!   to exist, measured where it is cheapest to regress.
+//! * **ingest** — cold decode-only throughput per format, every file
+//!   decoded through [`Format::decode`] as the CLI does: the `BWSS2`
+//!   files vs the mmap'd `BWSS3` files (and the `BWSS3` files once more
+//!   fully buffered, isolating the mmap-vs-`read(2)` delta). Asserts
+//!   the `BWSS3` mmap path ingests at least 3x the `BWSS2` records/sec
+//!   — the format's reason to exist, measured where it is cheapest to
+//!   regress.
 //! * **identity** — the cross-format contract: the analysis, windowed,
 //!   corpus, and predictor paths each run over both encodings of the
 //!   same records and must render byte-identical results.
@@ -29,19 +30,18 @@
 //! * **cache** — the content-addressed result cache: a cold run that
 //!   fills it vs a warm rerun that replays every entry (zero analyses).
 //!
-//! `--out` writes `BENCH_corpus.json` (schema `bwsa-bench-corpus/3`) and
+//! `--out` writes `BENCH_corpus.json` (schema `bwsa-bench-corpus/4`) and
 //! refuses to run in a debug build. `--validate` re-parses a written
 //! report and checks the invariants (the CI smoke step).
 
-use bwsa_core::columnar::decode_columnar;
 use bwsa_core::{AnalysisPipeline, WindowConfig, WindowedAnalysis};
 use bwsa_corpus::{Corpus, EntryStatus, FleetAccumulator, FleetSummary};
 use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
 use bwsa_predictor::{simulate, BhtIndexer, Pag};
-use bwsa_trace::columnar::write_columnar;
+use bwsa_trace::format::Format;
 use bwsa_trace::mmap::TraceBytes;
-use bwsa_trace::stream::{RecoveryPolicy, StreamReader, StreamWriter};
+use bwsa_trace::stream::RecoveryPolicy;
 use bwsa_trace::Trace;
 use bwsa_workload::suite::{Benchmark, InputSet};
 use std::path::{Path, PathBuf};
@@ -135,18 +135,14 @@ fn build_corpus(dir: &Path, traces: usize, quick: bool) -> CorpusPair {
         let name = format!("t{i:03}.trace");
 
         let mut bwss = Vec::new();
-        let mut writer = StreamWriter::new(&mut bwss, &trace.meta().name).expect("encode trace");
-        for record in trace.records() {
-            writer.push(*record).expect("encode trace");
-        }
-        writer
-            .finish(trace.meta().total_instructions)
-            .expect("encode trace");
+        Format::Bwss.write(&trace, &mut bwss).expect("encode trace");
         pair.bwss_bytes += bwss.len() as u64;
         std::fs::write(bwss_dir.join(&name), &bwss).expect("write trace");
 
         let mut bws3 = Vec::new();
-        write_columnar(&trace, &mut bws3).expect("encode trace");
+        Format::Bwss3
+            .write(&trace, &mut bws3)
+            .expect("encode trace");
         pair.bws3_bytes += bws3.len() as u64;
         std::fs::write(bws3_dir.join(&name), &bws3).expect("write trace");
 
@@ -159,19 +155,13 @@ fn build_corpus(dir: &Path, traces: usize, quick: bool) -> CorpusPair {
     pair
 }
 
-/// Decodes one BWSS2 stream file the way the corpus runner does.
-fn decode_bwss(path: &Path) -> Trace {
-    let bytes = std::fs::read(path).expect("read trace");
-    let mut reader = StreamReader::new(&bytes[..]).expect("open stream");
-    let mut trace = Trace::new(reader.name().to_owned());
-    for item in reader.by_ref() {
-        trace
-            .push(item.expect("decode record"))
-            .expect("push record");
-    }
-    if let Some(total) = reader.total_instructions() {
-        trace.meta_mut().total_instructions = total;
-    }
+/// Decodes one trace file's bytes in whatever format their magic names,
+/// the way the CLI and the corpus runner do.
+fn decode(bytes: &[u8]) -> Trace {
+    let format = Format::detect(bytes).expect("detect trace format");
+    let (trace, _) = format
+        .decode(bytes, RecoveryPolicy::Strict, &Obs::noop())
+        .expect("decode trace");
     trace
 }
 
@@ -213,34 +203,27 @@ fn ingest_floor(quick: bool) -> f64 {
 
 /// Phase 1: cold decode-only ingest, BWSS2 stream vs BWSS3 columnar
 /// (mmap'd and buffered).
-fn bench_ingest(pair: &CorpusPair, jobs: usize, quick: bool) -> Json {
+fn bench_ingest(pair: &CorpusPair, quick: bool) -> Json {
     let bwss_files = trace_files(&pair.bwss_manifest);
     let bws3_files = trace_files(&pair.bws3_manifest);
     let iters = if quick { 3 } else { 5 };
 
     let (bwss_ns, bwss_records) = time_decode(iters, || {
-        bwss_files.iter().map(|p| decode_bwss(p).len() as u64).sum()
+        bwss_files
+            .iter()
+            .map(|p| decode(&std::fs::read(p).expect("read trace")).len() as u64)
+            .sum()
     });
     let (mmap_ns, mmap_records) = time_decode(iters, || {
         bws3_files
             .iter()
-            .map(|p| {
-                let bytes = TraceBytes::open(p).expect("mmap trace");
-                let (trace, _) =
-                    decode_columnar(&bytes, RecoveryPolicy::Strict, jobs).expect("decode columnar");
-                trace.len() as u64
-            })
+            .map(|p| decode(&TraceBytes::open(p).expect("mmap trace")).len() as u64)
             .sum()
     });
     let (buffered_ns, buffered_records) = time_decode(iters, || {
         bws3_files
             .iter()
-            .map(|p| {
-                let bytes = TraceBytes::from_vec(std::fs::read(p).expect("read trace"));
-                let (trace, _) =
-                    decode_columnar(&bytes, RecoveryPolicy::Strict, jobs).expect("decode columnar");
-                trace.len() as u64
-            })
+            .map(|p| decode(&std::fs::read(p).expect("read trace")).len() as u64)
             .sum()
     });
     assert_eq!(
@@ -274,7 +257,6 @@ fn bench_ingest(pair: &CorpusPair, jobs: usize, quick: bool) -> Json {
         ("records", Json::from(pair.records)),
         ("bwss_bytes", Json::from(pair.bwss_bytes)),
         ("bws3_bytes", Json::from(pair.bws3_bytes)),
-        ("decode_jobs", Json::from(jobs as u64)),
         ("bwss2_ns", Json::from(bwss_ns)),
         ("bws3_mmap_ns", Json::from(mmap_ns)),
         ("bws3_buffered_ns", Json::from(buffered_ns)),
@@ -288,17 +270,15 @@ fn bench_ingest(pair: &CorpusPair, jobs: usize, quick: bool) -> Json {
 
 /// Phase 2: the cross-format identity contract — every downstream path
 /// must render byte-identical results over both encodings.
-fn bench_identity(pair: &CorpusPair, jobs: usize) -> Json {
+fn bench_identity(pair: &CorpusPair) -> Json {
     let bwss_files = trace_files(&pair.bwss_manifest);
     let bws3_files = trace_files(&pair.bws3_manifest);
     let path_pairs: Vec<(Trace, Trace)> = bwss_files
         .iter()
         .zip(&bws3_files)
         .map(|(s, c)| {
-            let bytes = TraceBytes::open(c).expect("mmap trace");
-            let (columnar, _) =
-                decode_columnar(&bytes, RecoveryPolicy::Strict, jobs).expect("decode columnar");
-            (decode_bwss(s), columnar)
+            let stream = decode(&std::fs::read(s).expect("read trace"));
+            (stream, decode(&TraceBytes::open(c).expect("mmap trace")))
         })
         .collect();
 
@@ -497,7 +477,7 @@ fn validate(path: &str) -> Result<(), String> {
         .get("schema")
         .and_then(Json::as_str)
         .ok_or("missing schema field")?;
-    if schema != "bwsa-bench-corpus/3" {
+    if schema != "bwsa-bench-corpus/4" {
         return Err(format!("unexpected schema {schema:?}"));
     }
     let u = |node: &Json, field: &str| -> Result<u64, String> {
@@ -628,14 +608,14 @@ fn main() {
         pair.bws3_bytes,
         dir.display()
     );
-    let ingest = bench_ingest(&pair, args.jobs, args.quick);
-    let identity = bench_identity(&pair, args.jobs);
+    let ingest = bench_ingest(&pair, args.quick);
+    let identity = bench_identity(&pair);
     let (batch, summary) = bench_batch(&args, &pair.bwss_manifest, pair.bwss_bytes);
     let aggregation = bench_aggregation(&summary);
     let cache = bench_cache(&pair.bwss_manifest, pair.bwss_bytes);
     let _ = std::fs::remove_dir_all(&dir);
     let doc = Json::object([
-        ("schema", Json::from("bwsa-bench-corpus/3")),
+        ("schema", Json::from("bwsa-bench-corpus/4")),
         ("quick", Json::from(args.quick)),
         ("ingest", ingest),
         ("identity", identity),

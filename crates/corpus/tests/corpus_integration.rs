@@ -200,6 +200,28 @@ fn unreadable_member_fails_its_entry_only() {
 }
 
 #[test]
+fn unknown_magic_fails_its_entry_with_one_error_naming_every_format() {
+    let dir = scratch("unknown-magic");
+    let manifest = build_corpus(&dir);
+    fs::write(dir.join("li_a.bwss"), b"JUNK: no trace magic here").expect("overwrite");
+    let summary = Corpus::open(&manifest)
+        .expect("open corpus")
+        .session()
+        .run_all();
+    let row = summary
+        .entries
+        .iter()
+        .find(|e| e.key == "li_a.bwss")
+        .expect("row present");
+    assert_eq!(row.status, EntryStatus::Failed);
+    let error = row.error.as_deref().expect("failed row carries its error");
+    for magic in ["BWST", "BWSS", "BWS3"] {
+        assert!(error.contains(magic), "{error}");
+    }
+    assert_eq!(summary.ok, 2);
+}
+
+#[test]
 fn open_rejects_dangling_and_duplicate_entries() {
     let dir = scratch("reject");
     let manifest = build_corpus(&dir);

@@ -122,7 +122,7 @@ impl Client {
         self.request(Request::Ping)
     }
 
-    /// Uploads BWSS2 bytes for analysis.
+    /// Uploads trace bytes (any format) for analysis.
     ///
     /// # Errors
     ///
@@ -135,7 +135,7 @@ impl Client {
         self.request(Request::Analyze { threshold, trace })
     }
 
-    /// Uploads BWSS2 bytes for analysis plus BHT allocation.
+    /// Uploads trace bytes (any format) for analysis plus BHT allocation.
     ///
     /// # Errors
     ///
@@ -155,7 +155,7 @@ impl Client {
         })
     }
 
-    /// Uploads BWSS2 bytes for analysis and asks for the versioned
+    /// Uploads trace bytes (any format) for analysis and asks for the versioned
     /// RunReport of that run instead of the result summary.
     ///
     /// # Errors
@@ -169,7 +169,7 @@ impl Client {
         self.request(Request::Report { threshold, trace })
     }
 
-    /// Uploads BWSS2 bytes for windowed analysis, invoking `on_window`
+    /// Uploads trace bytes (any format) for windowed analysis, invoking `on_window`
     /// with each window-summary JSON document as it arrives, and returns
     /// the terminal response — for a healthy subscription, `Response::Ok`
     /// holding the same whole-trace summary [`Client::analyze`] would

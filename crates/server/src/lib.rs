@@ -2,8 +2,9 @@
 //! analysis daemon.
 //!
 //! The batch CLI answers one trace per process; this crate serves many
-//! tenants from one process that must never die. It accepts BWSS2 trace
-//! payloads over a Unix-domain socket speaking the BWSF length-prefixed
+//! tenants from one process that must never die. It accepts trace
+//! payloads in any of the three trace formats (decoded by
+//! [`bwsa_trace::format::Format`]) over a Unix-domain socket speaking the BWSF length-prefixed
 //! [`frame`] protocol (request IDs, CRC32-checked payloads), multiplexes
 //! concurrent requests, and answers with analysis / allocation results
 //! and live metrics.

@@ -12,7 +12,8 @@ use std::fmt;
 pub mod kind {
     /// Liveness probe; body empty.
     pub const REQ_PING: u8 = 1;
-    /// Run the analysis pipeline over an uploaded BWSS2 trace.
+    /// Run the analysis pipeline over an uploaded trace (BWST, BWSS2 or
+    /// BWSS3).
     pub const REQ_ANALYZE: u8 = 2;
     /// Analyze, then allocate a predictor table over the result.
     pub const REQ_ALLOCATE: u8 = 3;
@@ -42,11 +43,12 @@ pub mod kind {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Analyze an uploaded BWSS2 trace.
+    /// Analyze an uploaded trace.
     Analyze {
         /// Bias threshold in percent (`None` = pipeline default).
         threshold: Option<u64>,
-        /// BWSS2 stream bytes.
+        /// Trace file bytes in any of the three formats (BWST, BWSS2,
+        /// BWSS3), as written to disk.
         trace: Vec<u8>,
     },
     /// Analyze and allocate a predictor table.
@@ -57,7 +59,8 @@ pub enum Request {
         table: u64,
         /// Allocate only classified (biased) branches when `true`.
         classified: bool,
-        /// BWSS2 stream bytes.
+        /// Trace file bytes in any of the three formats (BWST, BWSS2,
+        /// BWSS3), as written to disk.
         trace: Vec<u8>,
     },
     /// Analyze and answer with the versioned RunReport (stage timings,
@@ -65,10 +68,11 @@ pub enum Request {
     Report {
         /// Bias threshold in percent (`None` = pipeline default).
         threshold: Option<u64>,
-        /// BWSS2 stream bytes.
+        /// Trace file bytes in any of the three formats (BWST, BWSS2,
+        /// BWSS3), as written to disk.
         trace: Vec<u8>,
     },
-    /// Windowed analysis of an uploaded BWSS2 trace: the server answers
+    /// Windowed analysis of an uploaded trace: the server answers
     /// with one [`Response::Window`] frame per flushed window, then the
     /// terminal [`Response::Ok`] carrying the whole-trace summary (the
     /// same document `Analyze` would return for this trace).
@@ -79,7 +83,8 @@ pub enum Request {
         window: u64,
         /// Count `window` in instructions instead of dynamic branches.
         instructions: bool,
-        /// BWSS2 stream bytes.
+        /// Trace file bytes in any of the three formats (BWST, BWSS2,
+        /// BWSS3), as written to disk.
         trace: Vec<u8>,
     },
     /// Batch-analyze every trace named by a corpus manifest on the

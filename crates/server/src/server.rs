@@ -33,7 +33,8 @@ use bwsa_obs::json::Json;
 use bwsa_obs::Obs;
 use bwsa_resilience::supervisor::{catch, ResilienceError};
 use bwsa_resilience::watchdog;
-use bwsa_trace::stream::StreamReader;
+use bwsa_trace::format::Format;
+use bwsa_trace::stream::RecoveryPolicy;
 use bwsa_trace::Trace;
 use std::fmt;
 use std::io;
@@ -950,28 +951,14 @@ fn pipeline_for(threshold: Option<u64>) -> Result<AnalysisPipeline, String> {
     Ok(pipeline)
 }
 
-/// Materialises an uploaded trace payload (BWSS2 stream or BWSS3
-/// columnar file) into a [`Trace`]. Uploads decode strictly: a tenant's
+/// Materialises an uploaded trace payload, in any of the three trace
+/// formats, into a [`Trace`]. Uploads decode strictly: a tenant's
 /// damaged payload is a typed error, not a silent partial result.
 fn parse_trace(bytes: &[u8]) -> Result<Trace, String> {
-    if bwsa_trace::columnar::is_columnar(bytes) {
-        let (trace, _) =
-            bwsa_trace::columnar::read_columnar(bytes, bwsa_trace::stream::RecoveryPolicy::Strict)
-                .map_err(|e| format!("bad trace payload: {e}"))?;
-        return Ok(trace);
-    }
-    let mut reader = StreamReader::new(bytes).map_err(|e| format!("bad trace payload: {e}"))?;
-    let mut trace = Trace::new(reader.name().to_owned());
-    for item in reader.by_ref() {
-        let record = item.map_err(|e| format!("bad trace payload: {e}"))?;
-        trace
-            .push(record)
-            .map_err(|e| format!("bad trace payload: {e}"))?;
-    }
-    if let Some(total) = reader.total_instructions() {
-        trace.meta_mut().total_instructions = total;
-    }
-    Ok(trace)
+    Format::detect(bytes)
+        .and_then(|format| format.decode(bytes, RecoveryPolicy::Strict, &Obs::noop()))
+        .map(|(trace, _)| trace)
+        .map_err(|e| format!("bad trace payload: {e}"))
 }
 
 /// The JSON body for an allocate response.

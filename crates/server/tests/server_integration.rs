@@ -102,6 +102,48 @@ fn served_analysis_is_bit_identical_to_a_direct_session_run() {
 }
 
 #[test]
+fn every_trace_format_uploads_to_the_same_answer() {
+    let handle = spawn_server("formats", |_| {});
+    let bwss = trace_bytes("formats", 800);
+    let trace = trace_of(&bwss);
+    let mut bwst = Vec::new();
+    bwsa_trace::io::write_binary(&trace, &mut bwst).unwrap();
+    let mut bws3 = Vec::new();
+    bwsa_trace::columnar::write_columnar(&trace, &mut bws3).unwrap();
+
+    let mut client = Client::connect(handle.socket(), "acme").unwrap();
+    let analyzed = expect_ok(client.analyze(bwss.clone(), None).unwrap());
+    let allocated = expect_ok(client.allocate(bwss, None, 16, true).unwrap());
+    for (label, upload) in [("BWST", bwst), ("BWS3", bws3)] {
+        assert_eq!(
+            expect_ok(client.analyze(upload.clone(), None).unwrap()),
+            analyzed,
+            "{label} analyze must answer what the BWSS2 upload answers"
+        );
+        assert_eq!(
+            expect_ok(client.allocate(upload, None, 16, true).unwrap()),
+            allocated,
+            "{label} allocate must answer what the BWSS2 upload answers"
+        );
+    }
+
+    // A payload with no trace magic is refused with one error naming
+    // every format the daemon accepts.
+    match client.analyze(b"JUNK-not-a-trace".to_vec(), None).unwrap() {
+        Response::Error { code, message, .. } => {
+            assert_eq!(code, ErrorCode::Malformed);
+            for magic in ["BWST", "BWSS", "BWS3"] {
+                assert!(message.contains(magic), "{message}");
+            }
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+
+    handle.begin_shutdown();
+    handle.join().unwrap();
+}
+
+#[test]
 fn served_report_is_a_versioned_run_report_with_resilience() {
     let handle = spawn_server("report", |_| {});
     let bytes = trace_bytes("report", 700);

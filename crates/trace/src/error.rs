@@ -32,6 +32,12 @@ pub enum TraceError {
         /// What failed.
         reason: String,
     },
+    /// The input starts with none of the trace magics (`BWST`, `BWSS`,
+    /// `BWS3`), so no decoder applies.
+    UnknownFormat {
+        /// The leading bytes found instead (at most four).
+        found: Vec<u8>,
+    },
 }
 
 impl TraceError {
@@ -75,6 +81,11 @@ impl fmt::Display for TraceError {
             TraceError::Corrupt { chunk, reason } => {
                 write!(f, "corrupt stream chunk {chunk}: {reason}")
             }
+            TraceError::UnknownFormat { found } => write!(
+                f,
+                "unrecognised trace format: magic \"{}\" is none of BWST, BWSS, or BWS3",
+                found.escape_ascii()
+            ),
         }
     }
 }
@@ -121,6 +132,19 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("chunk 7") && s.contains("checksum"), "{s}");
+    }
+
+    #[test]
+    fn unknown_format_names_every_magic() {
+        let s = TraceError::UnknownFormat {
+            found: b"JU\xffK".to_vec(),
+        }
+        .to_string();
+        assert!(
+            s.contains("BWST") && s.contains("BWSS") && s.contains("BWS3"),
+            "{s}"
+        );
+        assert!(s.contains("JU\\xffK"), "{s}");
     }
 
     #[test]

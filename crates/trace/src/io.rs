@@ -44,7 +44,7 @@ use crate::codec::{self, Cursor};
 use crate::{Trace, TraceBuilder, TraceError};
 use std::io::{Read, Write};
 
-const MAGIC: &[u8; 4] = b"BWST";
+pub(crate) const MAGIC: &[u8; 4] = b"BWST";
 const VERSION: u16 = 1;
 
 /// Encodes a trace into the `BWST1` binary format.

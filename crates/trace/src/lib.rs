@@ -17,14 +17,16 @@
 //! * [`profile::BranchProfile`] — per-static-branch execution statistics
 //!   (execution counts, taken rates) and the frequency filter used to
 //!   reproduce Table 1's "percentage of dynamic branches analyzed".
+//! * [`mod@format`] — the one entry point for the three on-disk encodings:
+//!   detect by magic, encode, and decode into a [`Trace`].
 //! * [`io`] — compact binary and line-oriented text serialisation.
 //! * [`stream`] — checksummed chunked streaming format (`BWSS2`) with
 //!   corruption salvage, plus the legacy `BWSS1` read path.
 //! * [`columnar`] — the columnar block format (`BWSS3`): SoA column
 //!   blocks with per-block CRCs and a directory/index footer, built for
-//!   cold-ingest throughput and O(1) shard planning.
+//!   cold-ingest throughput.
 //! * [`mmap`] — zero-copy file bytes (memory map with buffered-read
-//!   fallback) feeding the columnar decoder.
+//!   fallback), the one way the CLI opens a trace file.
 //! * [`codec`] — the shared varint/zigzag/CRC32 primitives under all of
 //!   them.
 //! * [`fault`] — deterministic fault injection for durability testing.
@@ -55,6 +57,7 @@ pub mod codec;
 pub mod columnar;
 mod error;
 pub mod fault;
+pub mod format;
 mod id;
 pub mod io;
 pub mod mmap;
@@ -68,7 +71,8 @@ mod trace;
 pub mod failpoints {
     /// Fires once per record pulled through a [`crate::stream::StreamReader`].
     pub const DECODE_RECORD: &str = "trace.decode_record";
-    /// Fires when [`crate::io::read_binary`] starts ingesting a `BWST` file.
+    /// Fires once per `BWST` ingest: when [`crate::io::read_binary`] or
+    /// [`crate::format::Format::decode`] starts on a `BWST` input.
     pub const READ_BINARY: &str = "trace.read_binary";
     /// Every site in this crate, for chaos-sweep enumeration.
     pub const SITES: &[&str] = &[DECODE_RECORD, READ_BINARY];

@@ -90,7 +90,7 @@ use bwsa_obs::Obs;
 use std::fmt;
 use std::io::{Read, Write};
 
-const MAGIC: &[u8; 4] = b"BWSS";
+pub(crate) const MAGIC: &[u8; 4] = b"BWSS";
 /// Legacy stream version.
 const VERSION_1: u16 = 1;
 /// Current stream version.

@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release --manifest-path perfbench/Cargo.toml"
+# perfbench is its own workspace and imports the trace readers and
+# writers; building it here catches a public-API break before the
+# benchmark run does.
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -106,15 +106,14 @@ use bwsa::resilience::{failpoint, supervisor, watchdog, DetRng};
 use bwsa::server::server::ServerConfig;
 use bwsa::server::{signal, AdmissionConfig, Client, Response, Server, TenantQuotas};
 use bwsa::trace::codec::crc32;
-use bwsa::trace::columnar::{self, ColumnarFile};
+use bwsa::trace::columnar::ColumnarFile;
+use bwsa::trace::format::Format;
 use bwsa::trace::mmap::TraceBytes;
-use bwsa::trace::stream::{
-    RecoveryPolicy, SalvageReport, StreamReader, StreamWriter, DEFAULT_CHUNK_RECORDS,
-};
-use bwsa::trace::{io as trace_io, Trace};
+use bwsa::trace::stream::{RecoveryPolicy, SalvageReport, StreamReader, DEFAULT_CHUNK_RECORDS};
+use bwsa::trace::Trace;
 use bwsa::workload::suite::{Benchmark, InputSet};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -374,30 +373,13 @@ impl Parsed {
     }
 }
 
-/// On-disk trace encodings, detected by magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    /// `BWST`: whole-trace binary (bwsa_trace::io).
-    Bwst,
-    /// `BWSS`: chunked, checksummed stream (bwsa_trace::stream).
-    Bwss,
-    /// `BWS3`: columnar block format (bwsa_trace::columnar).
-    Bwss3,
-}
-
-fn detect_format(path: &str) -> Result<TraceFormat, CliError> {
-    let mut f = File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic)
-        .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-    match &magic {
-        b"BWST" => Ok(TraceFormat::Bwst),
-        b"BWSS" => Ok(TraceFormat::Bwss),
-        b"BWS3" => Ok(TraceFormat::Bwss3),
-        _ => Err(runtime_err(format!(
-            "{path}: unrecognised trace format (expected BWST, BWSS, or BWS3 magic)"
-        ))),
-    }
+/// Opens a trace file (memory-mapped when possible) and detects its
+/// format by magic: the one place the CLI touches a trace file.
+fn open_trace(path: &str) -> Result<(TraceBytes, Format), CliError> {
+    let bytes = TraceBytes::open(path.as_ref())
+        .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
+    let format = Format::detect(&bytes).map_err(|e| runtime_err(format!("{path}: {e}")))?;
+    Ok((bytes, format))
 }
 
 fn recovery_policy(p: &Parsed) -> RecoveryPolicy {
@@ -521,57 +503,42 @@ fn warn_salvage(path: &str, report: &SalvageReport) {
     }
 }
 
-/// Loads a trace of either format into memory under an `ingest` span. For
-/// BWSS input the salvage report is returned so callers can warn about
-/// recovered damage, and the stream reader feeds `trace.*` counters into
-/// `obs`.
+/// Decodes an opened trace into memory under an `ingest` span. The
+/// salvage report is returned so callers can warn about recovered
+/// damage; `obs` receives the decoder's `trace.*` counters.
+fn decode_trace(
+    path: &str,
+    bytes: &[u8],
+    format: Format,
+    policy: RecoveryPolicy,
+    obs: &Obs,
+) -> Result<(Trace, SalvageReport), CliError> {
+    let span = obs.span("ingest");
+    let loaded = format
+        .decode(bytes, policy, obs)
+        .map_err(|e| runtime_err(format!("cannot read {path}: {e}")));
+    span.finish();
+    loaded
+}
+
+/// Opens and decodes a trace of any format (see [`decode_trace`]).
 fn load_trace(
     path: &str,
     policy: RecoveryPolicy,
     obs: &Obs,
 ) -> Result<(Trace, SalvageReport), CliError> {
-    let span = obs.span("ingest");
-    let loaded = match detect_format(path)? {
-        TraceFormat::Bwst => {
-            let file =
-                File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-            let trace = trace_io::read_binary(BufReader::new(file))
-                .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-            obs.add("trace.records_read", trace.len() as u64);
-            Ok((trace, SalvageReport::default()))
-        }
-        TraceFormat::Bwss => {
-            let file =
-                File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-            let mut reader = StreamReader::with_recovery(BufReader::new(file), policy)
-                .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?
-                .with_observer(obs.clone());
-            let mut trace = Trace::new(reader.name().to_owned());
-            for item in reader.by_ref() {
-                let rec = item.map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-                trace
-                    .push(rec)
-                    .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-            }
-            if let Some(total) = reader.total_instructions() {
-                trace.meta_mut().total_instructions = total;
-            }
-            Ok((trace, reader.salvage_report().clone()))
-        }
-        TraceFormat::Bwss3 => {
-            // Memory-map the file and decode column blocks in parallel
-            // off the footer's block index (bit-identical to serial).
-            let bytes = TraceBytes::open(path.as_ref())
-                .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-            let jobs = ParallelConfig::available().jobs.get();
-            let (trace, report) = bwsa::core::columnar::decode_columnar(&bytes, policy, jobs)
-                .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-            obs.add("trace.records_read", trace.len() as u64);
-            Ok((trace, report))
-        }
-    };
-    span.finish();
-    loaded
+    let (bytes, format) = open_trace(path)?;
+    decode_trace(path, &bytes, format, policy, obs)
+}
+
+/// Writes `trace` to a new file at `path` in `format`.
+fn write_trace(trace: &Trace, path: &str, format: Format) -> Result<(), CliError> {
+    let file = File::create(path).map_err(|e| runtime_err(format!("cannot create {path}: {e}")))?;
+    let mut w = BufWriter::new(file);
+    format
+        .write(trace, &mut w)
+        .map_err(|e| runtime_err(e.to_string()))?;
+    w.flush().map_err(|e| runtime_err(e.to_string()))
 }
 
 fn threshold_of(p: &Parsed) -> Result<ConflictConfig, CliError> {
@@ -716,6 +683,16 @@ fn load_checkpoint_with_fallback<T>(
     }
 }
 
+/// The `--format bwst|bwss|bwss3` value, if given.
+fn format_flag(p: &Parsed) -> Result<Option<Format>, CliError> {
+    p.value("format")
+        .map(|name| {
+            Format::from_name(name)
+                .ok_or_else(|| usage_err(format!("bad format {name:?} (use bwst, bwss, or bwss3)")))
+        })
+        .transpose()
+}
+
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     let p = parse(args, &["input", "scale", "o", "format"], &[])?;
     let name = p
@@ -740,47 +717,13 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     if scale <= 0.0 {
         return Err(usage_err("scale must be positive"));
     }
-    let format = match p.value("format").unwrap_or("bwst") {
-        "bwst" => TraceFormat::Bwst,
-        "bwss" => TraceFormat::Bwss,
-        "bwss3" => TraceFormat::Bwss3,
-        other => {
-            return Err(usage_err(format!(
-                "bad format {other:?} (use bwst, bwss, or bwss3)"
-            )))
-        }
-    };
-    let ext = match format {
-        TraceFormat::Bwst => "bwst",
-        TraceFormat::Bwss => "bwss",
-        TraceFormat::Bwss3 => "bws3",
-    };
+    let format = format_flag(&p)?.unwrap_or(Format::Bwst);
     let out_path = p
         .value("o")
         .map(str::to_owned)
-        .unwrap_or_else(|| format!("{}_{}.{ext}", bench.name(), input.suffix()));
+        .unwrap_or_else(|| format!("{}_{}.{}", bench.name(), input.suffix(), format.extension()));
     let trace = bench.generate_scaled(input, scale);
-    let file = File::create(&out_path)
-        .map_err(|e| runtime_err(format!("cannot create {out_path}: {e}")))?;
-    let mut w = BufWriter::new(file);
-    match format {
-        TraceFormat::Bwst => {
-            trace_io::write_binary(&trace, &mut w).map_err(|e| runtime_err(e.to_string()))?;
-        }
-        TraceFormat::Bwss => {
-            let mut sw = StreamWriter::new(&mut w, &trace.meta().name)
-                .map_err(|e| runtime_err(e.to_string()))?;
-            for r in trace.records() {
-                sw.push(*r).map_err(|e| runtime_err(e.to_string()))?;
-            }
-            sw.finish(trace.meta().total_instructions)
-                .map_err(|e| runtime_err(e.to_string()))?;
-        }
-        TraceFormat::Bwss3 => {
-            columnar::write_columnar(&trace, &mut w).map_err(|e| runtime_err(e.to_string()))?;
-        }
-    }
-    w.flush().map_err(|e| runtime_err(e.to_string()))?;
+    write_trace(&trace, &out_path, format)?;
     println!("{trace}");
     println!("wrote {out_path}");
     Ok(())
@@ -794,53 +737,18 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     let [in_path, out_path] = p.positionals.as_slice() else {
         return Err(usage_err("convert needs an input and an output file"));
     };
-    let target = match p.value("format") {
-        Some("bwst") => TraceFormat::Bwst,
-        Some("bwss") => TraceFormat::Bwss,
-        Some("bwss3") => TraceFormat::Bwss3,
-        Some(other) => {
-            return Err(usage_err(format!(
-                "bad format {other:?} (use bwst, bwss, or bwss3)"
-            )))
-        }
-        None => match std::path::Path::new(out_path)
-            .extension()
-            .and_then(|e| e.to_str())
-        {
-            Some("bwst") => TraceFormat::Bwst,
-            Some("bwss") => TraceFormat::Bwss,
-            Some("bws3") => TraceFormat::Bwss3,
-            _ => {
-                return Err(usage_err(format!(
-                    "cannot infer the target format from {out_path:?}; \
-                     use --format bwst|bwss|bwss3 or a .bwst/.bwss/.bws3 extension"
-                )))
-            }
-        },
+    let target = match format_flag(&p)? {
+        Some(format) => format,
+        None => Format::from_extension(out_path.as_ref()).ok_or_else(|| {
+            usage_err(format!(
+                "cannot infer the target format from {out_path:?}; \
+                 use --format bwst|bwss|bwss3 or a .bwst/.bwss/.bws3 extension"
+            ))
+        })?,
     };
     let (trace, report) = load_trace(in_path, recovery_policy(&p), &Obs::noop())?;
     warn_salvage(in_path, &report);
-    let file = File::create(out_path)
-        .map_err(|e| runtime_err(format!("cannot create {out_path}: {e}")))?;
-    let mut w = BufWriter::new(file);
-    match target {
-        TraceFormat::Bwst => {
-            trace_io::write_binary(&trace, &mut w).map_err(|e| runtime_err(e.to_string()))?;
-        }
-        TraceFormat::Bwss => {
-            let mut sw = StreamWriter::new(&mut w, &trace.meta().name)
-                .map_err(|e| runtime_err(e.to_string()))?;
-            for r in trace.records() {
-                sw.push(*r).map_err(|e| runtime_err(e.to_string()))?;
-            }
-            sw.finish(trace.meta().total_instructions)
-                .map_err(|e| runtime_err(e.to_string()))?;
-        }
-        TraceFormat::Bwss3 => {
-            columnar::write_columnar(&trace, &mut w).map_err(|e| runtime_err(e.to_string()))?;
-        }
-    }
-    w.flush().map_err(|e| runtime_err(e.to_string()))?;
+    write_trace(&trace, out_path, target)?;
     println!(
         "converted {in_path} -> {out_path} ({} records, {} static branches)",
         trace.len(),
@@ -900,12 +808,12 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
             "--window runs the trace in memory and cannot combine with --checkpoint/--resume",
         ));
     }
-    let format = detect_format(path)?;
+    let (bytes, format) = open_trace(path)?;
     match format {
-        TraceFormat::Bwst if wants_checkpointing => return Err(usage_err(
+        Format::Bwst if wants_checkpointing => return Err(usage_err(
             "--checkpoint/--resume need a BWSS stream trace (see `bwsa generate --format bwss`)",
         )),
-        TraceFormat::Bwss3 if wants_checkpointing => {
+        Format::Bwss3 if wants_checkpointing => {
             return Err(usage_err(
                 "--checkpoint/--resume need a BWSS stream trace; BWSS3 ingest \
                  is fast enough to restart (see `bwsa convert`)",
@@ -913,8 +821,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         }
         _ => {}
     }
-    let streamed =
-        format != TraceFormat::Bwst && !(jobs.is_some_and(|j| j > 1) || windowing.is_some());
+    let streamed = format != Format::Bwst && !(jobs.is_some_and(|j| j > 1) || windowing.is_some());
     // A streamed run has no fewer-shard rung to fall back to; supervision
     // there means only the cooperative deadline, observed at every
     // failpoint site (each BWSS record decode, each pipeline stage).
@@ -922,13 +829,19 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         .and_then(|c| c.max_wall)
         .filter(|_| streamed)
         .map(|wall| watchdog::arm(Instant::now() + wall));
-    let loaded = if streamed {
-        None
+    let (loaded, streamed_run) = if streamed {
+        let run = match format {
+            Format::Bwss => stream_bwss(path, &bytes, &p, &pipeline, &obs)?,
+            _ => stream_bws3(path, &bytes, &p, &pipeline, &obs)?,
+        };
+        (None, Some(run))
     } else {
-        let (trace, report) = load_trace(path, recovery_policy(&p), &obs)?;
+        let (trace, report) = decode_trace(path, &bytes, format, recovery_policy(&p), &obs)?;
         warn_salvage(path, &report);
-        Some(trace)
+        (Some(trace), None)
     };
+    // Everything below works on the decoded trace or the streamed result.
+    drop(bytes);
     let session = loaded.as_ref().map(|trace| {
         let mut session = Session::new(trace)
             .with_pipeline(pipeline)
@@ -943,20 +856,17 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         session
     });
     let streamed_analysis;
-    let (name, instructions, analysis) = match &session {
-        Some(session) => {
+    let (name, instructions, analysis) = match (&session, streamed_run) {
+        (Some(session), _) => {
             let meta = session.trace().meta();
             let analysis = session.run().map_err(|e| runtime_err(e.to_string()))?;
             (meta.name.clone(), Some(meta.total_instructions), analysis)
         }
-        None => {
-            let (name, instructions, analysis) = match format {
-                TraceFormat::Bwss => stream_bwss(path, &p, &pipeline, &obs)?,
-                _ => stream_bws3(path, &p, &pipeline, &obs)?,
-            };
+        (None, Some((name, instructions, analysis))) => {
             streamed_analysis = analysis;
             (name, instructions, &streamed_analysis)
         }
+        (None, None) => unreachable!("a trace is either loaded or streamed"),
     };
 
     let profile = &analysis.profile;
@@ -1036,12 +946,12 @@ fn window_spec(p: &Parsed) -> Result<Option<(WindowConfig, Option<String>)>, Cli
 /// the stream trailer survived, and the analysis.
 fn stream_bwss(
     path: &str,
+    bytes: &[u8],
     p: &Parsed,
     pipeline: &AnalysisPipeline,
     obs: &Obs,
 ) -> Result<(String, Option<u64>, Analysis), CliError> {
-    let file = File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-    let mut reader = StreamReader::with_recovery(BufReader::new(file), recovery_policy(p))
+    let mut reader = StreamReader::with_recovery(bytes, recovery_policy(p))
         .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?
         .with_observer(obs.clone());
     let mut analysis = match p.value("resume") {
@@ -1098,18 +1008,17 @@ fn stream_bwss(
 /// so memory stays constant in the trace length.
 fn stream_bws3(
     path: &str,
+    bytes: &[u8],
     p: &Parsed,
     pipeline: &AnalysisPipeline,
     obs: &Obs,
 ) -> Result<(String, Option<u64>, Analysis), CliError> {
-    let bytes = TraceBytes::open(path.as_ref())
-        .map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
     let file =
-        ColumnarFile::parse(&bytes).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
+        ColumnarFile::parse(bytes).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
     let name = file.name().to_owned();
     let instructions = file.footer().map(|f| f.total_instructions);
     let (analysis, report) =
-        bwsa::core::columnar::analyze_columnar_stream(pipeline, &bytes, recovery_policy(p), obs)
+        bwsa::core::columnar::analyze_columnar_stream(pipeline, bytes, recovery_policy(p), obs)
             .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
     warn_salvage(path, &report);
     Ok((name, instructions, analysis))
@@ -1858,36 +1767,16 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             .map_err(|_| usage_err(format!("bad --retries {v:?}")))?,
     };
     let jobs = jobs_of(&p)?.unwrap_or(0) as u64;
-    // Read and re-encode the trace once, before the retry loop: a shed
-    // request retries the same bytes instead of re-touching the file.
+    // Read the trace once, before the retry loop: a shed request retries
+    // the same bytes instead of re-touching the file. Files of every
+    // format travel as they are; the daemon detects the format.
     let upload: Option<Vec<u8>> = match action.as_str() {
-        "analyze" => {
+        "analyze" | "report" | "subscribe" | "allocate" => {
             let path = p
                 .positionals
                 .get(2)
-                .ok_or_else(|| usage_err("client analyze needs a trace file"))?;
-            Some(trace_upload_bytes(path)?)
-        }
-        "report" => {
-            let path = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| usage_err("client report needs a trace file"))?;
-            Some(trace_upload_bytes(path)?)
-        }
-        "subscribe" => {
-            let path = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| usage_err("client subscribe needs a trace file"))?;
-            Some(trace_upload_bytes(path)?)
-        }
-        "allocate" => {
-            let path = p
-                .positionals
-                .get(2)
-                .ok_or_else(|| usage_err("client allocate needs a trace file"))?;
-            Some(trace_upload_bytes(path)?)
+                .ok_or_else(|| usage_err(format!("client {action} needs a trace file")))?;
+            Some(std::fs::read(path).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?)
         }
         _ => None,
     };
@@ -1983,35 +1872,6 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
             Err(runtime_err(format!(
                 "server refused ({code}): {message}{hint}"
             )))
-        }
-    }
-}
-
-/// Reads a trace file into the bytes the daemon expects (BWSS2 streams
-/// and BWSS3 columnar files travel as-is), re-encoding BWST binaries on
-/// the fly.
-fn trace_upload_bytes(path: &str) -> Result<Vec<u8>, CliError> {
-    match detect_format(path)? {
-        TraceFormat::Bwss | TraceFormat::Bwss3 => {
-            std::fs::read(path).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))
-        }
-        TraceFormat::Bwst => {
-            let file =
-                File::open(path).map_err(|e| runtime_err(format!("cannot open {path}: {e}")))?;
-            let trace = trace_io::read_binary(BufReader::new(file))
-                .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-            let mut bytes = Vec::new();
-            let mut writer = StreamWriter::new(&mut bytes, &trace.meta().name)
-                .map_err(|e| runtime_err(format!("cannot encode {path}: {e}")))?;
-            for record in trace.records() {
-                writer
-                    .push(*record)
-                    .map_err(|e| runtime_err(format!("cannot encode {path}: {e}")))?;
-            }
-            writer
-                .finish(trace.meta().total_instructions)
-                .map_err(|e| runtime_err(format!("cannot encode {path}: {e}")))?;
-            Ok(bytes)
         }
     }
 }
@@ -2254,7 +2114,7 @@ mod tests {
             "generate", "pgp", "--scale", "0.01", "--format", "bwss", "-o", &out_s,
         ]))
         .unwrap();
-        assert_eq!(detect_format(&out_s).unwrap(), TraceFormat::Bwss);
+        assert_eq!(open_trace(&out_s).unwrap().1, Format::Bwss);
         run(&strs(&["analyze", &out_s, "--threshold", "3"])).unwrap();
         run(&strs(&["simulate", &out_s, "--predictor", "gshare"])).unwrap();
         run(&strs(&[
@@ -2555,9 +2415,12 @@ mod tests {
         run(&strs(&["convert", &orig_s, &c3_s])).unwrap();
         run(&strs(&["convert", &c3_s, &cs_s])).unwrap();
         run(&strs(&["convert", &cs_s, &back_s])).unwrap();
-        assert_eq!(detect_format(&c3_s).unwrap(), TraceFormat::Bwss3);
-        let a = trace_io::read_binary(BufReader::new(File::open(&orig).unwrap())).unwrap();
-        let b = trace_io::read_binary(BufReader::new(File::open(&back).unwrap())).unwrap();
+        assert_eq!(open_trace(&c3_s).unwrap().1, Format::Bwss3);
+        let read = |path: &std::path::Path| {
+            let bytes = std::fs::read(path).unwrap();
+            bwsa::trace::io::read_binary(&bytes[..]).unwrap()
+        };
+        let (a, b) = (read(&orig), read(&back));
         assert_eq!(a.records(), b.records(), "round trip must be identical");
         assert_eq!(a.meta().total_instructions, b.meta().total_instructions);
         // Every analysis path accepts the columnar file.
