@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod legacy;
 pub mod paper;
 pub mod text;
 

@@ -1,16 +1,17 @@
 //! Columnar (`BWSS3`) streaming analysis.
 //!
-//! [`analyze_columnar_stream`] walks blocks through
-//! [`bwsa_trace::columnar::BlockDecoder`]'s reusable SoA scratch and
-//! feeds each block's `(id, time, taken)` columns straight into a
+//! [`analyze_columnar_stream`] walks blocks with
+//! [`bwsa_trace::columnar::ColumnarFile::walk`] — the same block loop,
+//! and so the same strict and salvage rules, as the whole-file decode —
+//! and feeds each block's `(id, time, taken)` columns straight into a
 //! [`Fold`], never materialising the trace. Whole-trace decoding lives
 //! in [`bwsa_trace::format::Format::decode`].
 
 use crate::interleave::Fold;
 use crate::pipeline::{Analysis, AnalysisPipeline};
 use bwsa_obs::Obs;
-use bwsa_trace::columnar::{BlockDecoder, ColumnarFile};
-use bwsa_trace::stream::{RecoveryPolicy, SalvageReport};
+use bwsa_trace::columnar::{ColumnarFile, Walk};
+use bwsa_trace::stream::RecoveryPolicy;
 use bwsa_trace::{BranchTable, Pc, TraceError};
 
 /// Runs the full analysis pipeline over a `BWSS3` buffer block-at-a-time
@@ -23,81 +24,39 @@ use bwsa_trace::{BranchTable, Pc, TraceError};
 /// is rebuilt and no pc is hashed per record. Memory stays bounded by
 /// one block plus the engine state. The result is bit-identical to
 /// decoding the whole trace and running [`AnalysisPipeline::run_observed`]
-/// over it.
+/// over it, and the returned [`Walk`] carries the salvage report and the
+/// instruction count that decode gives the trace.
 ///
 /// # Errors
 ///
 /// Propagates decode errors per `policy` exactly as
-/// [`bwsa_trace::columnar::read_columnar`] does; under salvage the
-/// analysis covers whatever the salvage decode would recover.
+/// [`ColumnarFile::walk`] does; under salvage the analysis covers
+/// whatever the salvage decode would recover.
 pub fn analyze_columnar_stream(
     pipeline: &AnalysisPipeline,
     bytes: &[u8],
     policy: RecoveryPolicy,
     obs: &Obs,
-) -> Result<(Analysis, SalvageReport), TraceError> {
-    let file = ColumnarFile::parse(bytes)?;
-    if policy == RecoveryPolicy::Strict && file.footer().is_none() {
-        return Err(TraceError::format(
-            "torn columnar file: footer missing or corrupt (retry with salvage)",
-        ));
-    }
-    let mut report = SalvageReport::default();
+) -> Result<(Analysis, Walk), TraceError> {
     let mut fold = Fold::new(0);
     // Directory id → fold node, `UNSEEN` until the branch first executes.
     const UNSEEN: u32 = u32::MAX;
     let mut node_of: Vec<u32> = Vec::new();
     let mut table = BranchTable::new();
-    let mut decoder = BlockDecoder::new(&file);
-    let mut last_time = 0u64;
-    loop {
-        match decoder.next_block() {
-            Ok(None) => break,
-            Ok(Some(view)) => {
-                if view.times.first().is_some_and(|&first| first < last_time) {
-                    let e = TraceError::Corrupt {
-                        chunk: decoder.blocks_seen() - 1,
-                        reason: "out-of-order block".into(),
-                    };
-                    if policy == RecoveryPolicy::Strict {
-                        return Err(e);
-                    }
-                    report.chunks_dropped += 1;
-                    if report.first_error.is_none() {
-                        report.first_error = Some(e.to_string());
-                    }
-                    continue;
-                }
-                last_time = view.times.last().copied().unwrap_or(last_time);
-                report.chunks_ok += 1;
-                report.records_recovered += view.ids.len() as u64;
-                node_of.resize(view.pcs.len(), UNSEEN);
-                for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
-                    let mut node = node_of[id as usize];
-                    if node == UNSEEN {
-                        node = table.intern(Pc::new(view.pcs[id as usize])).as_u32();
-                        node_of[id as usize] = node;
-                    }
-                    fold.push(node, time, taken);
-                }
+    let walk = ColumnarFile::parse(bytes)?.walk(policy, |view| {
+        node_of.resize(view.pcs.len(), UNSEEN);
+        for ((&id, &taken), &time) in view.ids.iter().zip(view.taken).zip(view.times) {
+            let mut node = node_of[id as usize];
+            if node == UNSEEN {
+                node = table.intern(Pc::new(view.pcs[id as usize])).as_u32();
+                node_of[id as usize] = node;
             }
-            Err(e) => {
-                if policy == RecoveryPolicy::Strict {
-                    return Err(e);
-                }
-                report.chunks_dropped += 1;
-                if report.first_error.is_none() {
-                    report.first_error = Some(e.to_string());
-                }
-                if !decoder.can_continue() {
-                    break;
-                }
-            }
+            fold.push(node, time, taken);
         }
-    }
-    obs.add("trace.records_read", report.records_recovered);
-    obs.add("trace.chunks_ok", report.chunks_ok);
-    Ok((fold.into_delta().finish(pipeline, obs), report))
+    })?;
+    obs.add("trace.records_read", walk.report.records_recovered);
+    obs.add("trace.chunks_ok", walk.report.chunks_ok);
+    Ok((fold.into_delta().finish(pipeline, obs), walk))
 }
 
 #[cfg(test)]
@@ -138,10 +97,10 @@ mod tests {
         let buf = encode(&trace, 128);
         let pipeline = AnalysisPipeline::new();
         let expected = pipeline.run_observed(&trace, &Obs::noop());
-        let (streamed, report) =
+        let (streamed, walk) =
             analyze_columnar_stream(&pipeline, &buf, RecoveryPolicy::Strict, &Obs::noop()).unwrap();
-        assert!(report.clean());
-        assert_eq!(report.records_recovered, 1500);
+        assert!(walk.report.clean());
+        assert_eq!(walk.report.records_recovered, 1500);
         assert_eq!(streamed, expected);
     }
 
@@ -160,10 +119,11 @@ mod tests {
         assert!(
             analyze_columnar_stream(&pipeline, &buf, RecoveryPolicy::Strict, &Obs::noop()).is_err()
         );
-        let (streamed, report) =
+        let (streamed, walk) =
             analyze_columnar_stream(&pipeline, &buf, RecoveryPolicy::Salvage, &Obs::noop())
                 .unwrap();
-        assert_eq!(report.records_recovered, 192); // 6 complete blocks
+        assert_eq!(walk.report.records_recovered, 192); // 6 complete blocks
+        assert_eq!(walk.total_instructions, trace.records()[191].time.get());
         let mut b = TraceBuilder::new("busy");
         for r in &trace.records()[..192] {
             b.record(r.pc.addr(), r.is_taken(), r.time.get());

@@ -109,6 +109,9 @@ proptest! {
         // the per-window detections reproduces the naive total.
         let weight: u64 = result.windows.iter().map(|w| w.interleave_weight).sum();
         prop_assert_eq!(weight, interleave_counts_naive(&trace).build().total_weight());
+        // A window recolors at most once, and stability is a fraction.
+        prop_assert!(result.recolors <= result.windows.len() as u64);
+        prop_assert!((0.0..=1.0).contains(&result.mean_stability));
     }
 
     #[test]

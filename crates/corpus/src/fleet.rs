@@ -15,7 +15,7 @@
 //! schedule-independence.
 //!
 //! Nothing time- or host-dependent goes into a summary (no wall times,
-//! no RSS); throughput lives in `corpus_bench` instead.
+//! no RSS); perfbench's `corpus` workload measures throughput instead.
 
 use bwsa_obs::json::Json;
 
@@ -149,43 +149,6 @@ impl EntryRecord {
     }
 }
 
-/// How `run_all` scheduled the batch: the fan-out mode it chose and the
-/// byte evidence behind the choice (see
-/// [`crate::CorpusSession::with_jobs`] and the per-entry size threshold
-/// in `run.rs`).
-///
-/// Like [`CacheStats`], this is run-shaped telemetry, deliberately
-/// excluded from [`FleetSummary::to_json`]: the JSON bytes are the
-/// bit-identity contract and must not depend on how the run was
-/// scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FanOutDecision {
-    /// Worker threads the caller asked for.
-    pub requested_jobs: usize,
-    /// Worker threads actually used (1 when demoted to serial).
-    pub effective_jobs: usize,
-    /// Size of the largest entry file in the batch.
-    pub largest_entry_bytes: u64,
-    /// The per-entry size below which fan-out is demoted.
-    pub threshold_bytes: u64,
-}
-
-impl FanOutDecision {
-    /// `true` when the batch ran on one thread.
-    pub fn serial(&self) -> bool {
-        self.effective_jobs <= 1
-    }
-
-    /// The chosen mode as a label (`"serial"` / `"parallel"`).
-    pub fn mode(&self) -> &'static str {
-        if self.serial() {
-            "serial"
-        } else {
-            "parallel"
-        }
-    }
-}
-
 /// The fold state: a bag of keyed entry records.
 ///
 /// `merge` is associative and commutative with [`FleetAccumulator::empty`]
@@ -294,7 +257,6 @@ impl FleetAccumulator {
             histogram,
             classes,
             cache: CacheStats::default(),
-            fan_out: FanOutDecision::default(),
         }
     }
 }
@@ -472,10 +434,6 @@ pub struct FleetSummary {
     /// [`FleetSummary::to_json`]: the JSON bytes are the bit-identity
     /// contract, and a warm run must render identically to a cold one.
     pub cache: CacheStats,
-    /// The fan-out schedule the run chose. Excluded from
-    /// [`FleetSummary::to_json`] for the same reason as `cache`: a
-    /// serial and a parallel run must render identical bytes.
-    pub fan_out: FanOutDecision,
 }
 
 impl FleetSummary {

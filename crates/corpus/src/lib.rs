@@ -54,8 +54,8 @@ pub mod failpoints {
 pub use cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CACHE_BUDGET, ENGINE_VERSION};
 pub use error::CorpusError;
 pub use fleet::{
-    ClassWin, EntryRecord, EntryStatus, FanOutDecision, FleetAccumulator, FleetSummary,
-    HistogramBucket, Percentiles, FLEET_SUMMARY_VERSION,
+    ClassWin, EntryRecord, EntryStatus, FleetAccumulator, FleetSummary, HistogramBucket,
+    Percentiles, FLEET_SUMMARY_VERSION,
 };
 pub use manifest::{Manifest, ManifestEntry, DEFAULT_BASELINE, DEFAULT_CLASS, DEFAULT_THRESHOLD};
 pub use run::{Corpus, CorpusSession, PARALLEL_BYTE_THRESHOLD};

@@ -32,7 +32,7 @@ use bwsa_trace::Trace;
 use crate::cache::{CacheKey, CacheStats, ResultCache, DEFAULT_CACHE_BUDGET};
 use crate::error::CorpusError;
 use crate::failpoints;
-use crate::fleet::{EntryRecord, EntryStatus, FanOutDecision, FleetAccumulator, FleetSummary};
+use crate::fleet::{EntryRecord, EntryStatus, FleetAccumulator, FleetSummary};
 use crate::journal::{self, Journal, JournalEntry};
 use crate::manifest::{Manifest, ManifestEntry};
 
@@ -210,11 +210,11 @@ impl CorpusSession<'_> {
             }
             _ => None,
         };
-        let fan_out = self.plan_fan_out(&entries);
-        if fan_out.effective_jobs < self.jobs {
+        let jobs = self.fan_out_jobs(&entries);
+        if jobs < self.jobs {
             self.obs.add("corpus.fan_out_demoted", 1);
         }
-        let records = parallel_map(entries, fan_out.effective_jobs, |_i, entry| {
+        let records = parallel_map(entries, jobs, |_i, entry| {
             self.run_entry(&entry, cache.as_ref(), journal.as_ref())
         });
         for r in &records {
@@ -244,16 +244,15 @@ impl CorpusSession<'_> {
             .collect::<FleetAccumulator>()
             .finish(&self.corpus.manifest.name);
         summary.cache = cache_stats;
-        summary.fan_out = fan_out;
         summary
     }
 
-    /// Decides serial vs parallel fan-out for this batch: requested jobs
-    /// are demoted to 1 when every entry's file is smaller than
+    /// The worker count for this batch: the requested jobs, demoted to 1
+    /// when every entry's file is smaller than
     /// [`PARALLEL_BYTE_THRESHOLD`]. Files whose size cannot be read are
     /// treated as above-threshold (they will surface their error in the
     /// per-entry record, not here).
-    fn plan_fan_out(&self, entries: &[ManifestEntry]) -> FanOutDecision {
+    fn fan_out_jobs(&self, entries: &[ManifestEntry]) -> usize {
         let largest = entries
             .iter()
             .map(|e| match std::fs::metadata(&e.path) {
@@ -262,16 +261,10 @@ impl CorpusSession<'_> {
             })
             .max()
             .unwrap_or(0);
-        let effective = if self.jobs > 1 && largest < PARALLEL_BYTE_THRESHOLD {
+        if self.jobs > 1 && largest < PARALLEL_BYTE_THRESHOLD {
             1
         } else {
             self.jobs
-        };
-        FanOutDecision {
-            requested_jobs: self.jobs,
-            effective_jobs: effective,
-            largest_entry_bytes: largest,
-            threshold_bytes: PARALLEL_BYTE_THRESHOLD,
         }
     }
 

@@ -1,13 +1,14 @@
 //! End-to-end corpus runs against real traces on disk: the serial ==
-//! parallel bit-identity contract, manifest-order invariance, TOML/JSON
-//! equivalence, and the salvage ladder (one corrupted BWSS2 member
-//! degrades its own entry, never the batch).
+//! parallel == BWSS3-encoded bit-identity contract, manifest-order
+//! invariance, TOML/JSON equivalence, and the salvage ladder
+//! (one corrupted BWSS2 member degrades its own entry, never the batch).
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use bwsa_corpus::{Corpus, CorpusError, EntryStatus, Manifest, FLEET_SUMMARY_VERSION};
-use bwsa_trace::stream::{frame_spans, StreamWriter};
+use bwsa_trace::format::Format;
+use bwsa_trace::stream::{frame_spans, RecoveryPolicy, StreamWriter};
 use bwsa_trace::Trace;
 use bwsa_workload::suite::{Benchmark, InputSet};
 
@@ -90,6 +91,34 @@ fn serial_and_parallel_runs_are_bit_identical() {
     assert!(serial.contains(&format!(
         "\"fleet_summary_version\": {FLEET_SUMMARY_VERSION}"
     )));
+
+    // The same records re-encoded as BWSS3 under the same file names and
+    // manifest: entry keys match, so only a decode difference between
+    // the two formats could change the bytes.
+    let bws3 = dir.join("bws3");
+    fs::create_dir_all(&bws3).expect("create bws3 dir");
+    fs::copy(&manifest, bws3.join("corpus.toml")).expect("copy manifest");
+    for name in ["compress_a.bwss", "pgp_a.bwss", "li_a.bwss"] {
+        let bytes = fs::read(dir.join(name)).expect("read trace file");
+        let (trace, _) = Format::Bwss
+            .decode(&bytes, RecoveryPolicy::Strict, &bwsa_obs::Obs::noop())
+            .expect("decode BWSS2");
+        let mut columnar = Vec::new();
+        Format::Bwss3
+            .write(&trace, &mut columnar)
+            .expect("encode BWSS3");
+        fs::write(bws3.join(name), columnar).expect("write trace file");
+    }
+    assert_eq!(summary_bytes(&bws3.join("corpus.toml"), 2), serial);
+    let summary = Corpus::open(&manifest)
+        .expect("open corpus")
+        .session()
+        .run_all();
+    assert!(
+        summary.entries.iter().all(|e| e.status == EntryStatus::Ok),
+        "{:?}",
+        summary.entries
+    );
 }
 
 #[test]

@@ -478,27 +478,16 @@ impl<'a> ColumnarFile<'a> {
         self.footer.as_ref()
     }
 
-    /// Decodes the whole file into a [`Trace`] under `policy`.
+    /// Decodes the whole file into a [`Trace`] under `policy` (see
+    /// [`ColumnarFile::walk`] for what each policy keeps).
     ///
-    /// With a valid footer, salvage skips corrupt blocks (the directory
-    /// survives in the footer); without one, salvage keeps the valid
-    /// block prefix. Either way a salvaged trace interns only the
-    /// branches its recovered records execute, in first-appearance
-    /// order. Strict requires an intact footer and fails on the first
-    /// inconsistency.
+    /// A salvaged trace interns only the branches its recovered records
+    /// execute, in first-appearance order.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Corrupt`] (strict) on a damaged block, or
-    /// [`TraceError::Format`] for structural damage.
+    /// As [`ColumnarFile::walk`].
     pub fn decode(&self, policy: RecoveryPolicy) -> Result<(Trace, SalvageReport), TraceError> {
-        if policy == RecoveryPolicy::Strict && self.footer.is_none() {
-            return Err(TraceError::format(
-                "torn columnar file: footer missing or corrupt (retry with salvage)",
-            ));
-        }
-        let mut report = SalvageReport::default();
-        let mut decoder = BlockDecoder::new(self);
         let mut ids: Vec<BranchId> = Vec::new();
         let mut records: Vec<BranchRecord> = Vec::new();
         if let Some(footer) = &self.footer {
@@ -508,32 +497,9 @@ impl<'a> ColumnarFile<'a> {
             ids.reserve(cap);
             records.reserve(cap);
         }
-        let mut last_time = 0u64;
-        loop {
-            let block_no = decoder.blocks_seen();
-            match decoder.next_block() {
-                Ok(None) => break,
-                Ok(Some(view)) => {
-                    if view.times.first().is_some_and(|&first| first < last_time) {
-                        let e = block_corrupt(block_no, "out-of-order block");
-                        absorb(policy, &mut report, e)?;
-                        continue;
-                    }
-                    last_time = view.times.last().copied().unwrap_or(last_time);
-                    report.chunks_ok += 1;
-                    report.records_recovered += view.ids.len() as u64;
-                    append_block(&view, &mut ids, &mut records);
-                }
-                Err(e) => {
-                    absorb(policy, &mut report, e)?;
-                    if !decoder.can_continue() {
-                        break;
-                    }
-                }
-            }
-        }
-        let table = if report.chunks_dropped == 0 {
-            BranchTable::from_pcs(decoder.directory().iter().map(|&pc| Pc::new(pc)))?
+        let walk = self.walk(policy, |view| append_block(view, &mut ids, &mut records))?;
+        let table = if walk.report.chunks_dropped == 0 {
+            BranchTable::from_pcs(walk.directory.into_iter().map(Pc::new))?
         } else {
             // A dropped block takes its branches' only executions with
             // it, so the directory would list branches the recovered
@@ -545,24 +511,95 @@ impl<'a> ColumnarFile<'a> {
             }
             table
         };
-        let total_instructions = match &self.footer {
-            Some(f) => {
-                if policy == RecoveryPolicy::Strict && report.records_recovered != f.record_count {
-                    return Err(TraceError::format(format!(
-                        "footer promises {} records, blocks held {}",
-                        f.record_count, report.records_recovered
-                    )));
-                }
-                f.total_instructions
-            }
-            None => last_time,
-        };
         let meta = TraceMeta {
             name: self.name.clone(),
-            total_instructions,
+            total_instructions: walk.total_instructions,
         };
-        Ok((Trace::from_parts(meta, table, ids, records)?, report))
+        Ok((Trace::from_parts(meta, table, ids, records)?, walk.report))
     }
+
+    /// Walks the blocks in file order under `policy`, handing each block
+    /// it keeps to `visit`: the one block loop behind both
+    /// [`ColumnarFile::decode`] and the streamed analysis.
+    ///
+    /// Strict requires an intact footer, fails on the first damaged or
+    /// out-of-order block, and requires the blocks to hold exactly the
+    /// records the footer promises. Salvage drops damaged and
+    /// out-of-order blocks and tallies them in the report: with a footer
+    /// it steps past them (the directory survives there); without one it
+    /// keeps the valid block prefix, since a damaged block also loses
+    /// the new-pc assignments later blocks depend on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Corrupt`] (strict) on a damaged or
+    /// out-of-order block, or [`TraceError::Format`] (strict) for a torn
+    /// tail or a footer whose record count the blocks do not match.
+    pub fn walk(
+        &self,
+        policy: RecoveryPolicy,
+        mut visit: impl FnMut(&BlockView<'_>),
+    ) -> Result<Walk, TraceError> {
+        if policy == RecoveryPolicy::Strict && self.footer.is_none() {
+            return Err(TraceError::format(
+                "torn columnar file: footer missing or corrupt (retry with salvage)",
+            ));
+        }
+        let mut report = SalvageReport::default();
+        let mut decoder = BlockDecoder::new(self);
+        let mut last_time = 0u64;
+        loop {
+            let block_no = decoder.blocks_seen;
+            match decoder.next_block() {
+                Ok(None) => break,
+                Ok(Some(view)) => {
+                    if view.times.first().is_some_and(|&first| first < last_time) {
+                        let e = block_corrupt(block_no, "out-of-order block");
+                        absorb(policy, &mut report, e)?;
+                        continue;
+                    }
+                    last_time = view.times.last().copied().unwrap_or(last_time);
+                    report.chunks_ok += 1;
+                    report.records_recovered += view.ids.len() as u64;
+                    visit(&view);
+                }
+                Err(e) => {
+                    absorb(policy, &mut report, e)?;
+                    if decoder.stopped {
+                        break;
+                    }
+                }
+            }
+        }
+        if let Some(f) = &self.footer {
+            if policy == RecoveryPolicy::Strict && report.records_recovered != f.record_count {
+                return Err(TraceError::format(format!(
+                    "footer promises {} records, blocks held {}",
+                    f.record_count, report.records_recovered
+                )));
+            }
+        }
+        let promised = self.footer.as_ref().map_or(0, |f| f.total_instructions);
+        Ok(Walk {
+            report,
+            total_instructions: promised.max(last_time),
+            directory: decoder.pcs,
+        })
+    }
+}
+
+/// What one [`ColumnarFile::walk`] leaves besides the blocks it visited.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Walk {
+    /// Blocks kept and dropped, records recovered, the first error.
+    pub report: SalvageReport,
+    /// The footer's instruction count raised to the last recovered
+    /// timestamp when it falls short (that timestamp alone for a torn
+    /// file): the count [`Trace::from_parts`] gives the decoded trace.
+    pub total_instructions: u64,
+    /// The id → pc directory: the footer's, or the one grown from the
+    /// new-pc columns of the blocks read.
+    pub directory: Vec<u64>,
 }
 
 /// Extends the row-wise sinks from one decoded block. The three column
@@ -667,23 +704,6 @@ impl<'a> BlockDecoder<'a> {
             taken: Vec::new(),
             times: Vec::new(),
         }
-    }
-
-    /// Number of blocks inspected so far (decoded or damaged).
-    pub fn blocks_seen(&self) -> u64 {
-        self.blocks_seen
-    }
-
-    /// The id → pc directory as currently known.
-    pub fn directory(&self) -> &[u64] {
-        &self.pcs
-    }
-
-    /// Whether [`BlockDecoder::next_block`] may yield more blocks after
-    /// an error. True with a footer (the index skips past damage); false
-    /// once a footerless scan hits its first bad block.
-    pub fn can_continue(&self) -> bool {
-        !self.stopped
     }
 
     /// Decodes the next block into the scratch buffers and returns a

@@ -205,11 +205,6 @@ cmp "$crash_dir/baseline.json" "$crash_dir/warm.json"
 echo "==> bench smoke (single iteration, parallel sweep)"
 cargo run --release -p bwsa-bench --bin experiments_all -- --quick --bench compress --jobs 2 > /dev/null
 
-echo "==> hotpath bench smoke (tiny trace, JSON parses, throughput positive)"
-cargo run --release -p bwsa-bench --bin hotpath -- \
-    --quick --iters 1 --out "$report_tmp/hotpath.json" 2> /dev/null
-cargo run --release -p bwsa-bench --bin hotpath -- --validate "$report_tmp/hotpath.json"
-
 echo "==> server smoke (daemon up, healthy + poisoned request, clean drain)"
 sock="$report_tmp/bwsa.sock"
 "$bwsa" generate compress --scale 0.01 -o "$report_tmp/smoke.bwst" > /dev/null
@@ -248,14 +243,7 @@ grep -q "server refused" "$report_tmp/poison.err"
 wait "$serve_pid" || { echo "daemon did not exit 0 on drain"; exit 1; }
 [ ! -e "$sock" ] || { echo "socket file left behind after drain"; exit 1; }
 
-echo "==> server bench smoke (throughput + overload phases, schema validates)"
-cargo run --release -p bwsa-bench --bin server_bench -- \
-    --quick --clients 2 --requests 3 --out "$report_tmp/server.json" 2> /dev/null
-cargo run --release -p bwsa-bench --bin server_bench -- --validate "$report_tmp/server.json"
-
-echo "==> corpus bench smoke (BWSS3 cold ingest, cross-format identity, schema validates)"
-cargo run --release -p bwsa-bench --bin corpus_bench -- \
-    --quick --jobs 2 --out "$report_tmp/corpus.json" 2> /dev/null
-cargo run --release -p bwsa-bench --bin corpus_bench -- --validate "$report_tmp/corpus.json"
+echo "==> perfbench smoke (every workload at tiny scale, every declared metric reported)"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "==> all checks passed"

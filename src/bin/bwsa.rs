@@ -860,7 +860,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         (Some(session), _) => {
             let meta = session.trace().meta();
             let analysis = session.run().map_err(|e| runtime_err(e.to_string()))?;
-            (meta.name.clone(), Some(meta.total_instructions), analysis)
+            (meta.name.clone(), meta.total_instructions, analysis)
         }
         (None, Some((name, instructions, analysis))) => {
             streamed_analysis = analysis;
@@ -874,13 +874,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
     let static_count = profile.static_count() as u64;
     if !spec.json_only() {
         println!(
-            "trace '{name}': {n} dynamic branches over {static_count} static sites, {} instructions",
-            instructions.map_or_else(|| "unknown".to_owned(), |t| t.to_string())
+            "trace '{name}': {n} dynamic branches over {static_count} static sites, {instructions} instructions"
         );
         let taken: u64 = profile.iter().map(|(_, s)| s.taken).sum();
-        let density = match instructions {
-            Some(t) if t > 0 => n as f64 / t as f64,
-            _ => 0.0,
+        let density = if instructions > 0 {
+            n as f64 / instructions as f64
+        } else {
+            0.0
         };
         let taken_rate = if n > 0 { taken as f64 / n as f64 } else { 0.0 };
         println!(
@@ -942,15 +942,16 @@ fn window_spec(p: &Parsed) -> Result<Option<(WindowConfig, Option<String>)>, Cli
 
 /// Streams a BWSS trace record by record through a [`StreamingAnalysis`]:
 /// constant memory in the trace length, with optional salvage and
-/// checkpoint/resume. Returns the trace name, its instruction count when
-/// the stream trailer survived, and the analysis.
+/// checkpoint/resume. Returns the trace name, its instruction count and
+/// the analysis. The count is the trailer's, or the last recovered
+/// timestamp when the trailer is lost, as a decoded trace has it.
 fn stream_bwss(
     path: &str,
     bytes: &[u8],
     p: &Parsed,
     pipeline: &AnalysisPipeline,
     obs: &Obs,
-) -> Result<(String, Option<u64>, Analysis), CliError> {
+) -> Result<(String, u64, Analysis), CliError> {
     let mut reader = StreamReader::with_recovery(bytes, recovery_policy(p))
         .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?
         .with_observer(obs.clone());
@@ -976,9 +977,11 @@ fn stream_bwss(
     let mut next_checkpoint_at = cadence
         .as_ref()
         .map(|(_, every)| analysis.records_consumed() + every);
+    let mut last_time = 0u64;
     let ingest_span = obs.span("ingest");
     for item in reader.by_ref() {
         let rec = item.map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
+        last_time = rec.time.get();
         if skipped < to_skip {
             skipped += 1;
             continue;
@@ -999,29 +1002,29 @@ fn stream_bwss(
     }
     warn_salvage(path, reader.salvage_report());
     let name = reader.name().to_owned();
-    let instructions = reader.total_instructions();
+    let instructions = reader.total_instructions().unwrap_or(last_time);
     Ok((name, instructions, analysis.finish_observed(pipeline, obs)))
 }
 
 /// Streams a BWSS3 trace block by block straight off the memory map:
 /// each block decodes into reusable scratch and feeds the analysis fold,
-/// so memory stays constant in the trace length.
+/// so memory stays constant in the trace length. Returns the trace name,
+/// its instruction count (as a decoded trace has it) and the analysis.
 fn stream_bws3(
     path: &str,
     bytes: &[u8],
     p: &Parsed,
     pipeline: &AnalysisPipeline,
     obs: &Obs,
-) -> Result<(String, Option<u64>, Analysis), CliError> {
+) -> Result<(String, u64, Analysis), CliError> {
     let file =
         ColumnarFile::parse(bytes).map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
     let name = file.name().to_owned();
-    let instructions = file.footer().map(|f| f.total_instructions);
-    let (analysis, report) =
+    let (analysis, walk) =
         bwsa::core::columnar::analyze_columnar_stream(pipeline, bytes, recovery_policy(p), obs)
             .map_err(|e| runtime_err(format!("cannot read {path}: {e}")))?;
-    warn_salvage(path, &report);
-    Ok((name, instructions, analysis))
+    warn_salvage(path, &walk.report);
+    Ok((name, walk.total_instructions, analysis))
 }
 
 /// The analysis lines of the `analyze` printout.

@@ -5,11 +5,14 @@
 //! runs one generated trace through every format × mode arm — plus a
 //! checkpointed BWSS run resumed from its checkpoint — and requires the
 //! same stdout and the same RunReport result digests from all of them. A
-//! second table does the same for a BWSS3 file whose first block is
-//! damaged (footer intact) under `--salvage`: every arm must analyze
-//! exactly the recovered records, and agree with a salvaged conversion.
+//! second table does the same under `--salvage` for damaged files — a
+//! BWSS3 file whose first block is corrupt (footer intact), and BWSS and
+//! BWSS3 files with their tail cut off: every arm must analyze exactly
+//! the recovered records, and agree with a salvaged conversion. A BWSS3
+//! footer that miscounts its blocks is refused alike by every strict arm.
 
 use bwsa::obs::json::Json;
+use bwsa::trace::codec::crc32;
 use bwsa::trace::columnar::ColumnarFile;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -145,32 +148,81 @@ fn every_analyze_arm_gives_one_answer() {
     damaged[block0_payload + 8] ^= 0xFF;
     let bad = dir.join("bad.bws3");
     std::fs::write(&bad, &damaged).unwrap();
-    let bad_bwst = dir.join("bad.bwst");
-    let bad_bwss = dir.join("bad.bwss");
-    for converted in [&bad_bwst, &bad_bwss] {
-        ok(&["convert", path_str(&bad), path_str(converted), "--salvage"]);
+    assert_salvage_arms_agree(&dir, "bad", &bad, &arms[0].1);
+
+    // Cut the tail off: the BWSS trailer and the BWSS3 footer are lost,
+    // so every arm takes the instruction count from the last recovered
+    // record, as a decoded trace does.
+    for (label, trace) in [("torn-bwss", &bwss), ("torn-bws3", &bws3)] {
+        let bytes = std::fs::read(trace).unwrap();
+        let torn = dir.join(format!("{label}.trace"));
+        std::fs::write(&torn, &bytes[..bytes.len() * 3 / 4]).unwrap();
+        assert_salvage_arms_agree(&dir, label, &torn, &arms[0].1);
     }
 
-    let mut salvaged = Vec::new();
-    for (label, args) in [
-        ("bad-jobs1", &["--jobs", "1"][..]),
-        ("bad-jobs2", &["--jobs", "2"][..]),
-        ("bad-window", &["--window", "4096"][..]),
+    // Raise the footer's record count by one and re-seal its CRC: the
+    // footer parses as intact but promises a record no block holds, so
+    // every strict arm refuses the file with the same error.
+    let mut bytes = std::fs::read(&bws3).unwrap();
+    let len = bytes.len();
+    let footer_len = u32::from_le_bytes(bytes[len - 12..len - 8].try_into().unwrap()) as usize;
+    let footer = len - 12 - footer_len;
+    let count_at = footer + 4; // after the footer magic
+    let count = u64::from_le_bytes(bytes[count_at..count_at + 8].try_into().unwrap());
+    bytes[count_at..count_at + 8].copy_from_slice(&(count + 1).to_le_bytes());
+    let crc = crc32(&bytes[footer..len - 12]);
+    bytes[len - 8..len - 4].copy_from_slice(&crc.to_le_bytes());
+    let miscounted = dir.join("miscounted.bws3");
+    std::fs::write(&miscounted, &bytes).unwrap();
+    let refusal = format!("footer promises {} records, blocks held {count}", count + 1);
+    for args in [
+        &["--jobs", "1"][..],
+        &["--jobs", "2"],
+        &["--window", "4096"],
     ] {
-        let mut args = args.to_vec();
-        args.push("--salvage");
-        let answer = analyze(&dir, label, &bad, &args);
-        assert!(answer.warned, "{label} recovered damage silently");
-        salvaged.push((label.to_owned(), answer));
+        let mut argv = vec!["analyze", path_str(&miscounted)];
+        argv.extend_from_slice(args);
+        let out = bwsa(&argv);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&refusal), "{args:?}: {stderr}");
     }
-    for (label, trace) in [("bad-as-bwst", &bad_bwst), ("bad-as-bwss", &bad_bwss)] {
-        salvaged.push((label.to_owned(), analyze(&dir, label, trace, &[])));
-    }
-    assert_ne!(
-        salvaged[0].1.stdout, arms[0].1.stdout,
-        "the damaged block must be missing from the salvaged answer"
-    );
-    assert_all_agree(&salvaged);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs a damaged trace through every arm under `--salvage`, and its
+/// salvaged conversions to BWST and BWSS without it: all must agree, and
+/// differ from the undamaged answer.
+fn assert_salvage_arms_agree(dir: &Path, label: &str, damaged: &Path, clean: &Answer) {
+    let mut salvaged = Vec::new();
+    for (arm, args) in [
+        ("jobs1", &["--jobs", "1"][..]),
+        ("jobs2", &["--jobs", "2"][..]),
+        ("window", &["--window", "4096"][..]),
+    ] {
+        let arm = format!("{label}-{arm}");
+        let mut args = args.to_vec();
+        args.push("--salvage");
+        let answer = analyze(dir, &arm, damaged, &args);
+        assert!(answer.warned, "{arm} recovered damage silently");
+        salvaged.push((arm, answer));
+    }
+    for ext in ["bwst", "bwss"] {
+        let converted = dir.join(format!("{label}-salvaged.{ext}"));
+        ok(&[
+            "convert",
+            path_str(damaged),
+            path_str(&converted),
+            "--salvage",
+        ]);
+        let arm = format!("{label}-as-{ext}");
+        let answer = analyze(dir, &arm, &converted, &[]);
+        salvaged.push((arm, answer));
+    }
+    assert_ne!(
+        salvaged[0].1.stdout, clean.stdout,
+        "{label}: the lost records must be missing from the salvaged answer"
+    );
+    assert_all_agree(&salvaged);
 }
